@@ -5,8 +5,8 @@ poison-retrain → re-score), so this bench measures queries/sec through
 the NeuMF testbed three ways:
 
 * ``serial`` — plain ``system.attack`` calls in-process, with a
-  :class:`~repro.perf.QueryProfiler` attached to split each query into
-  its restore / merge / retrain / score phases;
+  :class:`~repro.obs.Tracer` on ``system.tracer`` whose spans split
+  each query into its restore / merge / retrain / score phases;
 * ``pooled`` — the same batch through a :class:`~repro.perf.QueryPool`
   of forked replicas (``min(4, cpu_count)`` workers by default;
   ``REPRO_BENCH_WORKERS`` overrides the count, e.g. to force a
@@ -15,10 +15,11 @@ the NeuMF testbed three ways:
 * the two reward vectors are asserted bit-identical (the pool's
   equivalence guarantee, measured rather than assumed).
 
-Results land in ``BENCH_query_throughput.json`` at the repo root (plus a
-copy under ``benchmarks/results/``).  ``REPRO_SMOKE=1`` shrinks the
-batch for CI smoke runs.  The parallel speedup is recorded, not
-asserted — it depends on the runner's core count.
+Results land in ``benchmarks/results/query_throughput.json``; a full
+run also writes ``BENCH_query_throughput.json`` at the repo root.
+``REPRO_SMOKE=1`` shrinks the batch for CI smoke runs.  The parallel
+speedup is recorded, not asserted — it depends on the runner's core
+count.
 """
 
 from __future__ import annotations
@@ -30,7 +31,8 @@ import numpy as np
 
 from common import emit, emit_json
 from repro.experiments import build_environment, format_table, resolve_scale
-from repro.perf import QueryPool, QueryProfiler
+from repro.obs import Tracer, phase_rollup
+from repro.perf import QueryPool
 
 TRAJECTORY_LENGTH = 8
 NUM_ATTACKERS = 4
@@ -47,14 +49,25 @@ def sample_trajectory_sets(env, count, seed=0):
     ]
 
 
+def phase_summary(spans):
+    """Per-phase ``{seconds, calls, mean_seconds}`` from query spans."""
+    summary = {}
+    for path, entry in sorted(phase_rollup(spans).items()):
+        if path.startswith("query/"):
+            summary[path[len("query/"):]] = {
+                "seconds": entry["seconds"], "calls": entry["calls"],
+                "mean_seconds": entry["seconds"] / entry["calls"]}
+    return summary
+
+
 def run_serial(system, env, batch):
-    profiler = QueryProfiler()
-    system.profiler = profiler
+    tracer = Tracer()
+    system.tracer = tracer
     start = time.perf_counter()
     rewards = [float(env.attack(trajectories)) for trajectories in batch]
     elapsed = time.perf_counter() - start
-    system.profiler = None
-    return rewards, elapsed, profiler.summary()
+    system.tracer = None
+    return rewards, elapsed, phase_summary(tracer.spans)
 
 
 def run_pooled(env, batch, workers):

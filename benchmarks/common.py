@@ -31,17 +31,21 @@ def emit(name: str, text: str) -> None:
 
 
 def emit_json(name: str, payload: dict) -> pathlib.Path:
-    """Persist a machine-readable result as ``BENCH_<name>.json``.
+    """Persist a machine-readable result; returns the written path.
 
-    The file lands at the repository root so CI can pick it up as an
-    artifact without globbing; a copy of the same payload also goes to
-    ``benchmarks/results/`` next to the human-readable blocks.
+    The payload always goes to ``benchmarks/results/<name>.json``, next
+    to the human-readable blocks.  A full run also writes the checked-in
+    ``BENCH_<name>.json`` at the repository root; a smoke payload
+    (``payload["smoke"]`` true) never does, so a CI-sized run cannot
+    overwrite a full-run artifact.
     """
-    text = json.dumps(payload, indent=2, sort_keys=True)
-    path = REPO_ROOT / f"BENCH_{name}.json"
-    path.write_text(text + "\n")
+    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     RESULTS_DIR.mkdir(exist_ok=True)
-    (RESULTS_DIR / f"{name}.json").write_text(text + "\n")
+    path = RESULTS_DIR / f"{name}.json"
+    path.write_text(text)
+    if not payload.get("smoke"):
+        path = REPO_ROOT / f"BENCH_{name}.json"
+        path.write_text(text)
     return path
 
 

@@ -245,13 +245,16 @@ def cmd_attack(args: argparse.Namespace) -> int:
             print(f"chaos mode: {args.chaos:.0%} injected fault rate "
                   f"(seed {args.seed})")
         obs = RunTelemetry(args.obs_log) if args.obs_log else None
+        if obs is not None:
+            system.tracer = obs.tracer
         pool = None
         if args.workers > 1:
             pool = QueryPool(attack_env, workers=args.workers)
             mode = "parallel" if pool.parallel else "serial fallback"
             print(f"query pool: {args.workers} workers ({mode})")
             if obs is not None:
-                # Parent-side only: workers fork before these attach.
+                # Workers fork with a reset copy of the tracer (at the
+                # first batch) and ship their query spans back.
                 pool.tracer = obs.tracer
                 pool.metrics = obs.metrics
         agent = PoisonRec(attack_env, scale.config(seed=args.seed),
@@ -402,7 +405,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     print(scheduler.telemetry.render_table(result.records))
     totals = scheduler.telemetry.phase_totals()
     if totals:
-        print("query phases (parent-side): " + "  ".join(
+        print("query phases: " + "  ".join(
             f"{phase}={seconds:.2f}s"
             for phase, seconds in sorted(totals.items())))
     if result.pool_crashes or result.serial_fallbacks:

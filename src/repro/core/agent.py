@@ -22,17 +22,18 @@ changing a single observed number (see :mod:`repro.perf`).
 
 Attaching a :class:`~repro.obs.run.RunTelemetry` to :attr:`PoisonRec.obs`
 traces the hot path (``train_step`` → ``sample`` / ``query_batch`` /
-``ppo_update``, with per-query phase spans reconstructed from the
-timings each :class:`~repro.perf.pool.QueryOutcome` carries — pooled or
-serial) and counts queries/retries/quarantines in the metrics registry.
-Tracing reads the monotonic clock only, so an instrumented campaign's
-``TrainResult.history`` is bit-identical to the untraced run.
+``ppo_update``) and counts queries/retries/quarantines in the metrics
+registry.  The per-query spans come from the system itself: whoever
+builds it hangs the same tracer on ``system.tracer``, so serial queries
+nest under ``query_batch`` and pooled ones under the pool's
+``pool.batch``.  Tracing reads the monotonic clock only, so an
+instrumented campaign's ``TrainResult.history`` is bit-identical to the
+untraced run.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import time
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
@@ -42,7 +43,6 @@ import numpy as np
 from ..effects import sanctioned_channel
 from ..nn.anomaly import AnomalyError, detect_anomaly
 from ..perf.pool import QueryOutcome, QueryPool
-from ..perf.profile import PhaseDelta, find_profiler
 from ..recsys.system import BlackBoxEnvironment
 from ..runtime.checkpoint import PathLike, load_campaign, save_campaign
 from ..runtime.errors import (CampaignDivergenceError, CorruptRewardError,
@@ -276,38 +276,21 @@ class PoisonRec:
                 retry=state.config.retry if state is not None else None,
                 rng=state.rng if state is not None else None,
                 sleep=state.config.sleep if state is not None else None)
-        observing = self._obs is not None
-        profiler = find_profiler(self.env) if observing else None
         outcomes: List[QueryOutcome] = []
         for rollout in rollouts:
-            delta = PhaseDelta(profiler) if observing else None
-            began = time.perf_counter() if observing else 0.0
             try:
                 reward, attempts = self._query(rollout.trajectories(), state)
             except RetriesExhaustedError as error:
-                outcome = QueryOutcome(
+                outcomes.append(QueryOutcome(
                     reward=None, retries=max(error.attempts - 1, 0),
-                    error=error)
+                    error=error))
             else:
-                outcome = QueryOutcome(reward=reward, retries=attempts)
-            if observing:
-                outcome.seconds = time.perf_counter() - began
-                outcome.phases, outcome.phase_calls = delta.delta()
-            outcomes.append(outcome)
+                outcomes.append(QueryOutcome(reward=reward,
+                                             retries=attempts))
         return outcomes
 
-    def _record_queries(self, outcomes: List[QueryOutcome],
-                        parent) -> None:
-        """Synthesize per-query spans from the timings outcomes carry.
-
-        Pooled queries execute concurrently in forked workers, so their
-        true start times never reach the parent; the spans are laid out
-        *sequentially* from the batch span's start (durations exact,
-        placement approximate — flagged ``synthetic``).  Each query span
-        nests the restore/merge/retrain/score phase spans the worker (or
-        the serial path) measured.  Metrics count every outcome either
-        way.
-        """
+    def _record_queries(self, outcomes: List[QueryOutcome]) -> None:
+        """Count queries, retries and quarantines in the metrics."""
         if self._obs is None:
             return
         metrics = self._obs.metrics
@@ -319,25 +302,6 @@ class PoisonRec:
             if outcome.reward is None:
                 metrics.counter("agent.quarantined",
                                 **self.obs_attrs).inc()
-        if parent is None:
-            return
-        tracer = self._obs.tracer
-        cursor = parent.start
-        for i, outcome in enumerate(outcomes):
-            if outcome.seconds is None:
-                continue
-            query = tracer.add(
-                "query", cursor, cursor + outcome.seconds,
-                parent_id=parent.span_id, index=i, synthetic=True,
-                pooled=outcome.pooled, **self.obs_attrs)
-            offset = cursor
-            for phase, seconds in (outcome.phases or {}).items():
-                tracer.add(phase, offset, offset + seconds,
-                           parent_id=query.span_id, synthetic=True)
-                metrics.histogram("agent.phase_seconds",
-                                  phase=phase).observe(seconds)
-                offset += seconds
-            cursor += outcome.seconds
 
     def train_step(self) -> StepStats:
         """One iteration of Algorithm 1's outer loop."""
@@ -352,10 +316,9 @@ class PoisonRec:
             with self._span("sample", samples=cfg.samples_per_step):
                 rollouts = [self.sample_attack()
                             for _ in range(cfg.samples_per_step)]
-            with self._span("query_batch",
-                            samples=len(rollouts)) as batch_span:
+            with self._span("query_batch", samples=len(rollouts)):
                 outcomes = self._query_batch(rollouts, state)
-            self._record_queries(outcomes, batch_span)
+            self._record_queries(outcomes)
             for rollout, outcome in zip(rollouts, outcomes):
                 retries += outcome.retries
                 if outcome.reward is None:

@@ -13,22 +13,28 @@ Two ways to record a span:
 * :meth:`Tracer.span` — a context manager timing the enclosed block,
   with automatic parenting (the innermost open span on this tracer's
   stack becomes the parent).
-* :meth:`Tracer.add` — register an *externally measured* interval, e.g.
-  phase timings shipped back from a forked
-  :class:`~repro.perf.pool.QueryPool` worker, parented wherever the
-  caller says.
+* :meth:`Tracer.add` — register an *externally measured* interval,
+  parented wherever the caller says.
 
 Closed spans are retained in :attr:`Tracer.spans` (for in-process
 rollups) and streamed to an optional ``sink`` callable (the
-:class:`~repro.obs.run.RunTelemetry` JSONL writer).
+:class:`~repro.obs.run.RunTelemetry` JSONL writer).  Only the process
+that created a tracer calls its sink: a forked child inherits the
+tracer, but never writes into the parent's run log.  A forked
+:class:`~repro.perf.pool.QueryPool` worker calls :meth:`Tracer.reset`
+on its copy and ships the span records of each query back with the
+reply; the parent adds them under its open ``pool.batch`` span with
+:meth:`Tracer.graft`.  ``time.perf_counter`` is the system-wide
+monotonic clock on Linux, so worker timestamps need no translation.
 """
 
 from __future__ import annotations
 
+import os
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterator, List, Optional
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional
 
 from ..effects import pure
 
@@ -115,6 +121,8 @@ class Tracer:
         self.spans: List[Span] = []
         self._next_id = 0
         self._stack: List[Span] = []
+        #: The creating process: the only one allowed to call ``sink``.
+        self._pid = os.getpid()
 
     @property
     @pure
@@ -129,7 +137,7 @@ class Tracer:
     def _finish(self, span: Span) -> None:
         if self.retain:
             self.spans.append(span)
-        if self.sink is not None:
+        if self.sink is not None and os.getpid() == self._pid:
             self.sink(span)
 
     @contextmanager
@@ -158,10 +166,8 @@ class Tracer:
             proc: Optional[str] = None, **attrs: Any) -> Span:
         """Record one externally measured, already-closed span.
 
-        Used for intervals timed elsewhere — worker-side attack phases
-        shipped back with a :class:`~repro.perf.pool.QueryOutcome`, or
-        rollups reconstructed from durations.  ``parent_id=None``
-        parents under the innermost open span (if any).
+        ``parent_id=None`` parents under the innermost open span (if
+        any).
         """
         if parent_id is None and self._stack:
             parent_id = self._stack[-1].span_id
@@ -171,6 +177,37 @@ class Tracer:
                     attrs=dict(attrs))
         self._finish(span)
         return span
+
+    def reset(self, proc: str) -> None:
+        """Start over as a fresh, sink-less recorder labelled ``proc``.
+
+        A forked pool worker calls this on its inherited copy: the
+        parent's spans, open-span stack and sink stay behind, and the
+        spans recorded from here on are retained until the worker
+        ships them back.
+        """
+        self.sink = None
+        self.retain = True
+        self.spans = []
+        self._stack = []
+        self.proc = proc
+
+    def graft(self, records: Iterable[dict]) -> None:
+        """Re-add spans recorded by another tracer, with fresh ids.
+
+        ``records`` are :meth:`Span.to_record` dicts, e.g. the spans a
+        pool worker recorded for one query.  Ids are handed out in
+        opening order, so sorting by id adds every parent before its
+        children; a record whose parent is not among ``records`` hangs
+        under the innermost open span.
+        """
+        ids: Dict[int, int] = {}
+        for record in sorted(records, key=lambda record: record["id"]):
+            span = Span.from_record(record)
+            ids[span.span_id] = self.add(
+                span.name, span.start, span.end,
+                parent_id=ids.get(span.parent_id), proc=span.proc,
+                **span.attrs).span_id
 
     def __repr__(self) -> str:
         return (f"Tracer(spans={len(self.spans)}, "

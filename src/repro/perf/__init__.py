@@ -1,4 +1,4 @@
-"""Performance subsystem: parallel query engine + attack-path profiling.
+"""Performance subsystem: the parallel query engine.
 
 ``repro.perf`` makes the black-box query loop fast without changing a
 single observed reward:
@@ -6,13 +6,10 @@ single observed reward:
 * :class:`QueryPool` — fan per-step queries out over forked
   recommender-system replicas, with a documented bit-exact equivalence
   guarantee versus serial execution and transient-failure healing for
-  crashed workers.
-* :class:`QueryProfiler` — per-query wall-clock breakdown of the
-  restore / merge / retrain / score phases inside
-  :meth:`~repro.recsys.system.RecommenderSystem.attack`.  Workers ship
-  their per-query phase deltas back with each
-  :class:`QueryOutcome`, so the breakdown covers pooled queries too
-  (see :func:`find_profiler` / :class:`PhaseDelta`).
+  crashed workers.  Each pooled :class:`QueryOutcome` carries the
+  worker-measured seconds of its query, and a traced pool grafts the
+  workers' restore / merge / retrain / score spans into the parent's
+  trace (see :mod:`repro.perf.pool`).
 
 See ``docs/performance.md`` for the measurement methodology,
 ``docs/observability.md`` for the tracing/metrics hooks, and
@@ -20,13 +17,9 @@ See ``docs/performance.md`` for the measurement methodology,
 """
 
 from .pool import QueryOutcome, QueryPool, WorkerCrashError
-from .profile import PhaseDelta, QueryProfiler, find_profiler
 
 __all__ = [
     "QueryPool",
     "QueryOutcome",
     "WorkerCrashError",
-    "QueryProfiler",
-    "PhaseDelta",
-    "find_profiler",
 ]

@@ -64,18 +64,18 @@ injection for soak tests, exercising exactly the healing paths above.
 
 Observability
 -------------
-Every worker reply carries a *phase payload*: the per-phase profiler
-deltas (when a :class:`~repro.perf.profile.QueryProfiler` is attached
-to the replica's system) and the query's total wall-clock seconds,
-measured inside the worker.  The parent merges the deltas into its own
-profiler — so parent-side rollups finally cover pooled queries — and
-attaches them to the :class:`QueryOutcome` (``phases`` /
-``phase_calls`` / ``seconds`` / ``pooled``).  Hanging a
+Every worker reply carries the query's wall-clock seconds, measured
+inside the worker (:attr:`QueryOutcome.seconds`).  Hanging a
 :class:`~repro.obs.trace.Tracer` on :attr:`QueryPool.tracer` wraps each
-batch in a ``pool.batch`` span, and a
-:class:`~repro.obs.metrics.MetricsRegistry` on :attr:`QueryPool.metrics`
-counts queries, crashes, stalls and serial fallbacks; both are optional
-parent-side attachments, never shipped to workers.
+batch in a ``pool.batch`` span.  Workers fork with that tracer and
+:meth:`~repro.obs.trace.Tracer.reset` their copy (no sink, no spans,
+``proc="worker-<slot>"``); when the same tracer hangs on the system as
+``system.tracer``, each reply also carries the span records of the
+query (``query`` and its restore / merge / retrain / score children),
+which the parent grafts under the open ``pool.batch`` span with their
+real timestamps.  A :class:`~repro.obs.metrics.MetricsRegistry` on
+:attr:`QueryPool.metrics` counts queries, crashes, stalls and serial
+fallbacks; it stays in the parent.
 """
 
 from __future__ import annotations
@@ -87,7 +87,7 @@ import time
 from contextlib import nullcontext
 from dataclasses import dataclass
 from multiprocessing.connection import wait as _connection_wait
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
@@ -95,7 +95,6 @@ from ..runtime.errors import (CorruptRewardError, RetriesExhaustedError,
                               TransientEnvironmentError)
 from ..runtime.faults import WorkerFaultPlan
 from ..runtime.retry import RetryPolicy, call_with_retry
-from .profile import PhaseDelta, find_profiler
 
 #: How long one scheduler wait blocks before re-checking worker liveness.
 _WAIT_TIMEOUT = 5.0
@@ -115,47 +114,48 @@ class QueryOutcome:
     counts transient failures absorbed on the way — including worker
     crashes healed by the pool.
 
-    The observability fields describe the *final* attempt: ``seconds``
-    is its wall-clock duration (measured inside the worker for pooled
-    queries), ``phases``/``phase_calls`` its per-phase profiler deltas
-    (``None`` when no profiler is attached or timing is off), and
-    ``pooled`` says whether a forked worker executed it.
+    ``pooled`` says whether a forked worker executed the *final*
+    attempt, and ``seconds`` is that attempt's wall-clock duration
+    measured inside the worker (``None`` for in-process queries).
     """
 
     reward: Optional[float]
     retries: int = 0
     error: Optional[Exception] = None
-    phases: Optional[Dict[str, float]] = None
-    phase_calls: Optional[Dict[str, int]] = None
     seconds: Optional[float] = None
     pooled: bool = False
 
 
-def _phase_payload(delta: PhaseDelta, began: float):
-    """One reply's phase payload: ``(phase_seconds, phase_calls, total)``.
+def _payload(tracer, began: float):
+    """One reply's timings: ``(seconds, span records)``.
 
     ``began`` is the ``perf_counter`` reading taken just before the
-    attack; the total is read *first* so the delta bookkeeping (dict
-    copies) never inflates it.  The phase dicts are ``None`` when no
-    profiler is attached.
+    attack; the seconds are read *first* so packing the records never
+    inflates them.  The records are the spans the worker's tracer
+    closed during the query, which then forgets them.
     """
-    total = time.perf_counter() - began
-    seconds, calls = delta.delta()
-    return seconds, calls, total
+    seconds = time.perf_counter() - began
+    if tracer is None:
+        return seconds, []
+    records = [span.to_record() for span in tracer.spans]
+    tracer.spans.clear()
+    return seconds, records
 
 
-def _worker_main(system, conn) -> None:
+def _worker_main(system, conn, tracer, proc: str) -> None:
     """Child-process loop: serve attack queries until the stop sentinel.
 
     Messages arrive as ``(index, trajectories, directive)`` and replies
     go back as ``(index, reward, error, payload)``, where ``payload``
-    carries the query's worker-side timings (see :func:`_phase_payload`)
-    so the parent can account pooled wall-clock per phase.  On a query
-    failure the worker ships the error to the parent and exits — a
-    worker never serves queries from a possibly corrupted replica; the
-    parent forks a pristine replacement instead.  The exception is an
-    error tagged ``replica_safe`` (injected chaos that never touched
-    the replica): it is shipped as data and the worker keeps serving.
+    carries the query's worker-side seconds and span records (see
+    :func:`_payload`).  ``tracer`` is the worker's forked copy of the
+    pool's tracer (or ``None``); it is reset and relabelled ``proc``
+    before the first query.  On a query failure the worker ships the
+    error to the parent and exits — a worker never serves queries from
+    a possibly corrupted replica; the parent forks a pristine
+    replacement instead.  The exception is an error tagged
+    ``replica_safe`` (injected chaos that never touched the replica):
+    it is shipped as data and the worker keeps serving.
 
     ``directive`` carries seeded worker-chaos orders from a
     :class:`~repro.runtime.faults.WorkerFaultPlan`: ``("kill",)`` makes
@@ -170,6 +170,8 @@ def _worker_main(system, conn) -> None:
     # leave Ctrl-C drains to the parent: in-flight queries finish.
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
     signal.signal(signal.SIGINT, signal.SIG_IGN)
+    if tracer is not None:
+        tracer.reset(proc)
     while True:
         try:
             message = conn.recv()
@@ -183,16 +185,15 @@ def _worker_main(system, conn) -> None:
                 os._exit(1)
             if directive[0] == "stall":
                 time.sleep(directive[1])
-        delta = PhaseDelta(find_profiler(system, trajectories))
         began = time.perf_counter()
         try:
             reward = float(system.attack(trajectories))
         except Exception as error:
-            conn.send((index, None, error, _phase_payload(delta, began)))
+            conn.send((index, None, error, _payload(tracer, began)))
             if getattr(error, "replica_safe", False):
                 continue
             raise SystemExit(1)
-        conn.send((index, reward, None, _phase_payload(delta, began)))
+        conn.send((index, reward, None, _payload(tracer, began)))
     conn.close()
 
 
@@ -259,12 +260,13 @@ class QueryPool:
         self.pooled_seconds = 0.0
         #: Worker-executed attack attempts absorbed from replies.
         self.pooled_queries = 0
-        #: Optional parent-side :class:`~repro.obs.trace.Tracer` — set
-        #: after construction, never shipped to workers.
+        #: Optional :class:`~repro.obs.trace.Tracer`, set before the
+        #: first batch: workers fork with a copy they reset, and the
+        #: parent grafts the spans they ship back.
         self.tracer = None
         #: Optional parent-side
         #: :class:`~repro.obs.metrics.MetricsRegistry` for pool
-        #: counters; also never shipped to workers.
+        #: counters; never shipped to workers.
         self.metrics = None
 
     # ------------------------------------------------------------------
@@ -275,7 +277,8 @@ class QueryPool:
         try:
             parent_conn, child_conn = self._ctx.Pipe(duplex=True)
             proc = self._ctx.Process(target=_worker_main,
-                                     args=(self.system, child_conn),
+                                     args=(self.system, child_conn,
+                                           self.tracer, f"worker-{slot}"),
                                      daemon=True)
             proc.start()
             child_conn.close()
@@ -348,10 +351,6 @@ class QueryPool:
         """One in-process query (convenience; bypasses the workers)."""
         return float(self.system.attack(trajectories))
 
-    def _observing(self) -> bool:
-        """Whether anyone is consuming per-query timing fields."""
-        return self.tracer is not None or self.metrics is not None
-
     def _span(self, name: str, **attrs):
         """A tracer span, or a no-op context when tracing is off."""
         if self.tracer is None:
@@ -360,12 +359,7 @@ class QueryPool:
 
     def _serial_outcome(self, trajectories, retry: Optional[RetryPolicy],
                         rng, sleep, base_retries: int = 0) -> QueryOutcome:
-        """Execute one query in-process under the caller's retry policy.
-
-        When observability is attached the outcome carries the query's
-        wall-clock seconds and per-phase profiler deltas, mirroring
-        what pooled replies ship back from workers.
-        """
+        """Execute one query in-process under the caller's retry policy."""
         def attempt() -> float:
             reward = float(self.system.attack(trajectories))
             if retry is not None and not np.isfinite(reward):
@@ -375,30 +369,17 @@ class QueryPool:
                     f"environment returned non-finite RecNum {reward!r}")
             return reward
 
-        def timed(outcome: QueryOutcome, delta, began) -> QueryOutcome:
-            if delta is None:
-                return outcome
-            outcome.seconds = time.perf_counter() - began
-            outcome.phases, outcome.phase_calls = delta.delta()
-            return outcome
-
-        delta = began = None
-        if self._observing():
-            delta = PhaseDelta(find_profiler(self.system, trajectories))
-            began = time.perf_counter()
         if retry is None:
-            return timed(QueryOutcome(reward=attempt(),
-                                      retries=base_retries), delta, began)
+            return QueryOutcome(reward=attempt(), retries=base_retries)
         try:
             outcome = call_with_retry(attempt, retry, rng=rng, sleep=sleep)
         except RetriesExhaustedError as error:
-            return timed(QueryOutcome(
+            return QueryOutcome(
                 reward=None,
                 retries=base_retries + max(error.attempts - 1, 0),
-                error=error), delta, began)
-        return timed(QueryOutcome(reward=outcome.value,
-                                  retries=base_retries + outcome.retries),
-                     delta, began)
+                error=error)
+        return QueryOutcome(reward=outcome.value,
+                            retries=base_retries + outcome.retries)
 
     def attack_many(self, trajectory_sets: Sequence[Sequence[Sequence[int]]],
                     retry: Optional[RetryPolicy] = None,
@@ -571,7 +552,7 @@ class QueryPool:
                     requeue_after_crash(index)
                     continue
                 drop(slot)
-                self._absorb(payload, tasks[index])
+                self._absorb(payload)
                 if error is None:
                     # The replica executed a real query; mirror it into
                     # the parent's budget counter before validating.
@@ -582,14 +563,10 @@ class QueryPool:
                             f"{reward!r}"))
                         continue
                     pinned.pop(index, None)
-                    outcome = QueryOutcome(
+                    results[index] = QueryOutcome(
                         reward=reward,
                         retries=failures[index] + crashes[index],
-                        pooled=True)
-                    if payload is not None:
-                        outcome.phases, outcome.phase_calls, \
-                            outcome.seconds = payload
-                    results[index] = outcome
+                        seconds=payload[0], pooled=True)
                     continue
                 if getattr(error, "replica_safe", False) and isinstance(
                         error, TransientEnvironmentError):
@@ -607,31 +584,22 @@ class QueryPool:
                     raise error
         return results
 
-    def _absorb(self, payload, task) -> None:
-        """Fold one worker reply's phase payload into parent accounting.
+    def _absorb(self, payload) -> None:
+        """Fold one worker reply's timings into parent accounting.
 
-        Merges the phase deltas into the parent-side profiler (the same
-        object the worker's fork-copy accumulated into — this is what
-        makes pooled-tier rollups possible) and updates the pool's
-        wall-clock counters and optional metrics.  Failed attempts ship
-        payloads too, keeping parity with the serial path where the
-        profiler accumulates even during attempts that raise.
+        Updates the pool's wall-clock counters and optional metrics, and
+        grafts the shipped span records under the open ``pool.batch``
+        span.  Failed attempts ship payloads too, keeping parity with
+        the serial path, where a raising attempt still closes its spans.
         """
-        if payload is None:
-            return
-        phases, calls, seconds = payload
+        seconds, records = payload
         self.pooled_queries += 1
         self.pooled_seconds += seconds
-        if phases:
-            profiler = find_profiler(self.system, task)
-            if profiler is not None:
-                profiler.merge(phases, calls)
+        if self.tracer is not None:
+            self.tracer.graft(records)
         if self.metrics is not None:
             self.metrics.counter("pool.queries", tier="pooled").inc()
             self.metrics.histogram("pool.query_seconds").observe(seconds)
-            for name, phase_seconds in (phases or {}).items():
-                self.metrics.histogram("pool.phase_seconds",
-                                       phase=name).observe(phase_seconds)
 
     def _handle_crash(self, slot: int) -> None:
         """Reap + respawn one worker, recording the death."""

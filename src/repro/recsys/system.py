@@ -32,6 +32,10 @@ _RECOMMEND_CHUNK_USERS = 8192
 from .registry import make_ranker
 from .snapshots import SnapshotMismatchError, states_equal
 
+#: The spans one traced :meth:`RecommenderSystem.attack` records inside
+#: its ``query`` span, in order.
+QUERY_PHASES = ("restore", "merge", "retrain", "score")
+
 
 class RecommenderSystem:
     """A candidate-generation + ranker pipeline with a poisoning hook.
@@ -116,9 +120,9 @@ class RecommenderSystem:
         self._merged_skeleton = self.clean_log.copy()
         self.incremental = incremental
         self.verify_incremental = verify_incremental
-        #: Optional :class:`repro.perf.QueryProfiler` timing each attack
-        #: phase (restore / merge / retrain / score).
-        self.profiler = None
+        #: Optional :class:`repro.obs.Tracer`: each attack then records
+        #: one ``query`` span around its :data:`QUERY_PHASES` spans.
+        self.tracer = None
         self._active_poison: Optional[InteractionLog] = None
 
         # Frozen evaluation protocol: fixed eval users and candidate sets so
@@ -216,10 +220,10 @@ class RecommenderSystem:
         return poison
 
     def _phase(self, name: str):
-        """Profiling context for one attack phase (no-op when unprofiled)."""
-        if self.profiler is None:
+        """A tracer span for one attack phase (no-op when untraced)."""
+        if self.tracer is None:
             return nullcontext()
-        return self.profiler.phase(name)
+        return self.tracer.span(name)
 
     def reset(self, force: bool = False) -> None:
         """Reload the clean ranker state (pre-poison).
@@ -299,12 +303,13 @@ class RecommenderSystem:
         exact-equivalence contract :class:`repro.perf.QueryPool` relies
         on to fan queries out across worker processes.
         """
-        with self._phase("restore"):
-            self.reset()
-        self.inject(trajectories)
-        self.query_count += 1
-        with self._phase("score"):
-            return self.recnum()
+        with self._phase("query"):
+            with self._phase("restore"):
+                self.reset()
+            self.inject(trajectories)
+            self.query_count += 1
+            with self._phase("score"):
+                return self.recnum()
 
     def __repr__(self) -> str:
         return (f"RecommenderSystem(ranker={self.ranker.name!r}, "

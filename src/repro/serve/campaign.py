@@ -133,8 +133,6 @@ class CampaignRecord:
         self.env = None
         self.agent = None
         self.config = None
-        #: Parent-side profiler hung on the recommender system, if any.
-        self.profiler = None
         #: Pool facade for the current pool generation (rebuilt on
         #: degradation, dropped at the serial tier).
         self.client = None

@@ -38,13 +38,11 @@ from __future__ import annotations
 import math
 import pathlib
 import time
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
 from ..core import PoisonRec
 from ..perf.pool import QueryPool
-from ..perf.profile import QueryProfiler
 from ..runtime.checkpoint import load_campaign, save_campaign
 from ..runtime.errors import FailureBudgetExhausted
 from ..runtime.faults import FaultPlan, FaultyEnvironment, WorkerFaultPlan
@@ -126,9 +124,12 @@ class CampaignScheduler:
         Injectable clock for retry backoff and restart delays.
     obs:
         Optional :class:`~repro.obs.run.RunTelemetry`: traces scheduler
-        slices and pool dispatch, counts fleet metrics, and logs it all
-        to the crash-safe obs run log.  Wired through to every
-        campaign's agent and the shared pool; purely observational.
+        slices, pool dispatch and every query's phases, counts fleet
+        metrics, and logs it all to the crash-safe obs run log.  Wired
+        through to every campaign's agent and system and the shared
+        pool; purely observational.  Without one the fleet records into
+        the telemetry's memory-only instance, so the summary's query
+        phase totals always have spans to roll up.
     """
 
     def __init__(self, directory, workers: int = 1, slice_steps: int = 2,
@@ -150,9 +151,9 @@ class CampaignScheduler:
         self.worker_chaos = worker_chaos
         self.builder = builder
         self.sleep = sleep
-        self.obs = obs
         self.telemetry = telemetry if telemetry is not None \
             else FleetTelemetry(obs=obs)
+        self.obs = obs if obs is not None else self.telemetry.obs
         self.supervisor = CampaignSupervisor(restart)
         self.drain = DrainController()
         self.degradation = DegradationController(
@@ -219,24 +220,21 @@ class CampaignScheduler:
         if record.total_steps is None:
             record.total_steps = default_steps
         self.router.register(spec.name, env)
-        self._attach_profiler(record)
+        self._attach_tracer(env)
         self._rebuild_agent(record)
 
-    def _attach_profiler(self, record: CampaignRecord) -> None:
-        """Hang a QueryProfiler on the underlying recommender system."""
-        target = record.env
+    def _attach_tracer(self, target) -> None:
+        """Hang the run's tracer on the recommender system behind ``target``."""
         for _ in range(8):
             if target is None:
                 return
-            if hasattr(target, "profiler"):
-                record.profiler = QueryProfiler()
-                target.profiler = record.profiler
+            if hasattr(target, "tracer"):
+                target.tracer = self.obs.tracer
                 return
             inner = getattr(target, "_system", None)
             if inner is None:
                 inner = getattr(target, "_env", None)
             target = inner
-        record.profiler = None
 
     def _rebuild_agent(self, record: CampaignRecord) -> None:
         """Fresh agent, restored from the last checkpoint if one exists."""
@@ -263,11 +261,10 @@ class CampaignScheduler:
                                workers=self.degradation.workers,
                                stall_timeout=self.stall_timeout,
                                chaos=self.worker_chaos)
-        if self.obs is not None:
-            # Parent-side attachments only: workers are forked from
-            # ``self.router`` and never see the tracer or its log file.
-            self._pool.tracer = self.obs.tracer
-            self._pool.metrics = self.obs.metrics
+        # Workers fork with a reset copy of the tracer and ship their
+        # query spans back; the metrics stay in the parent.
+        self._pool.tracer = self.obs.tracer
+        self._pool.metrics = self.obs.metrics
 
     def _retire_pool(self) -> None:
         if self._pool is not None:
@@ -306,8 +303,6 @@ class CampaignScheduler:
             if handle_signals:
                 self.drain.uninstall()
             self.journal.close()
-        for record in self.records.values():
-            self.telemetry.rollup_profiler(record.spec.name, record.profiler)
         return FleetResult(records=dict(self.records),
                            drained=self.drain.requested,
                            tier=self.degradation.tier,
@@ -377,12 +372,6 @@ class CampaignScheduler:
             "retries": sum(s.retries for s in history),
             "quarantined": sum(s.quarantined for s in history)})
 
-    def _slice_span(self, record: CampaignRecord, steps: int):
-        if self.obs is None:
-            return nullcontext()
-        return self.obs.span("slice", campaign=record.spec.name,
-                             steps=steps, tier=self.degradation.tier)
-
     def _run_slice(self, record: CampaignRecord) -> None:
         spec = record.spec
         record.status = CampaignStatus.RUNNING
@@ -400,7 +389,8 @@ class CampaignScheduler:
                 raise DrainRequested()
 
         try:
-            with self._slice_span(record, steps):
+            with self.obs.span("slice", campaign=spec.name, steps=steps,
+                               tier=self.degradation.tier):
                 agent.train(steps, callback=callback,
                             resilience=self._resilience(record, steps))
         except DrainRequested:

@@ -1,35 +1,35 @@
-"""Live fleet telemetry: per-campaign StepStats and profiler rollups.
+"""Live fleet telemetry: per-campaign StepStats and query phase totals.
 
 :class:`FleetTelemetry` is the scheduler's observer: every completed
 training step streams its :class:`~repro.core.agent.StepStats` here
 (tagged with the campaign name), fleet events (restarts, tier changes,
-drains) become narrator lines, and per-campaign
-:class:`~repro.perf.profile.QueryProfiler` phase timings are rolled up
-into one fleet-wide breakdown.  Because pooled workers ship their
-per-query phase deltas back with every
-:class:`~repro.perf.pool.QueryOutcome` (merged into the parent-side
-profiler by the pool), the rollups cover *all* tiers — pooled, reduced
-and serial alike.
+drains) become narrator lines, and :meth:`FleetTelemetry.phase_totals`
+rolls the run's query phase spans up into one fleet-wide breakdown.
+Pooled workers ship their spans back to the parent's tracer, so the
+totals cover the pooled, reduced and serial tiers alike.
 
 Output is written to an injectable stream (``None`` silences it, which
 is what the tests use); the scheduler never formats anything itself.
-Attaching a :class:`~repro.obs.run.RunTelemetry` mirrors every counter
-into its labeled metrics registry and every fleet event into its
-crash-safe run log, so ``repro metrics`` can render the dashboard of a
-live or dead fleet.  A fleet resumed from a scheduler journal is
-*hydrated* (:meth:`FleetTelemetry.hydrate`) with the counters the prior
-process journaled, so the summary table never zeroes out history it
-did not stream itself.
+Every counter lands in the labeled metrics registry of the attached
+:class:`~repro.obs.run.RunTelemetry` (a memory-only one when none is
+given); with a run log, fleet events land in its crash-safe log too, so
+``repro metrics`` can render the dashboard of a live or dead fleet.  A
+fleet resumed from a scheduler journal is *hydrated*
+(:meth:`FleetTelemetry.hydrate`) with the counters the prior process
+journaled, so the summary table never zeroes out history it did not
+stream itself.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, TextIO
 
 from ..effects import pure
 from ..experiments.tables import format_table
 from ..obs.metrics import MetricsRegistry
+from ..obs.run import RunTelemetry
+from ..recsys.system import QUERY_PHASES
 
 
 @dataclass
@@ -44,7 +44,6 @@ class CampaignTelemetry:
     last_mean: float = float("nan")
     last_max: float = float("nan")
     restarts: int = 0
-    phases: Dict[str, float] = field(default_factory=dict)
 
 
 class FleetTelemetry:
@@ -56,18 +55,17 @@ class FleetTelemetry:
         Text stream for narrator lines (``None`` silences them).
     obs:
         Optional :class:`~repro.obs.run.RunTelemetry`: counters are
-        mirrored into its metrics registry and fleet events into its
-        run log.
+        mirrored into its metrics registry, fleet events into its run
+        log, and its tracer's spans feed :meth:`phase_totals`.  ``None``
+        creates a memory-only instance.
     """
 
     def __init__(self, stream: Optional[TextIO] = None,
                  obs=None) -> None:
         self.stream = stream
-        self.obs = obs
-        #: The labeled metrics registry backing the counters — shared
-        #: with ``obs`` when one is attached, private otherwise.
-        self.metrics: MetricsRegistry = (obs.metrics if obs is not None
-                                         else MetricsRegistry())
+        self.obs = obs if obs is not None else RunTelemetry()
+        #: The labeled metrics registry backing the counters.
+        self.metrics: MetricsRegistry = self.obs.metrics
         self.campaigns: Dict[str, CampaignTelemetry] = {}
         self.events: List[str] = []
 
@@ -109,8 +107,7 @@ class FleetTelemetry:
     def event(self, message: str) -> None:
         """Record one fleet-level event (restart, tier change, drain)."""
         self.events.append(message)
-        if self.obs is not None:
-            self.obs.event(message)
+        self.obs.event(message)
         self._emit(f"== {message}")
 
     def note_restart(self, name: str) -> None:
@@ -139,27 +136,18 @@ class FleetTelemetry:
         entry.quarantined = max(entry.quarantined, quarantined)
         entry.restarts = max(entry.restarts, restarts)
 
-    def rollup_profiler(self, name: str, profiler) -> None:
-        """Fold one campaign's profiler phases into the fleet rollup.
-
-        The profiler covers every tier: worker-side phase deltas are
-        shipped back with each pooled
-        :class:`~repro.perf.pool.QueryOutcome` and merged by the pool,
-        serial and fallback queries accumulate directly.
-        """
-        if profiler is None:
-            return
-        phases = self._campaign(name).phases
-        for phase, stats in profiler.summary().items():
-            phases[phase] = phases.get(phase, 0.0) + stats["seconds"]
-
     @pure
     def phase_totals(self) -> Dict[str, float]:
-        """Fleet-wide per-phase seconds across all campaigns."""
+        """Fleet-wide seconds per query phase, summed over the run's spans.
+
+        A rollup, not a running sum: reading it twice, or after a
+        further :meth:`~repro.serve.scheduler.CampaignScheduler.run`
+        with no work left, counts every phase span exactly once.
+        """
         totals: Dict[str, float] = {}
-        for entry in self.campaigns.values():
-            for phase, seconds in entry.phases.items():
-                totals[phase] = totals.get(phase, 0.0) + seconds
+        for span in self.obs.tracer.spans:
+            if span.name in QUERY_PHASES:
+                totals[span.name] = totals.get(span.name, 0.0) + span.seconds
         return totals
 
     def render_table(self, records=None) -> str:

@@ -1,8 +1,12 @@
-"""Tracer: deterministic ids, nesting, external spans, rollups."""
+"""Tracer: deterministic ids, nesting, external spans, rollups, fork."""
 
 from __future__ import annotations
 
-from repro.obs import Tracer, phase_rollup
+import os
+
+import pytest
+
+from repro.obs import RunTelemetry, Tracer, load_run, phase_rollup
 from repro.obs.trace import Span
 
 
@@ -104,3 +108,68 @@ def test_phase_rollup_accumulates_by_path():
     assert rollup["step/query"]["seconds"] == 2.0
     still_open = Span(name="open", span_id=99, parent_id=None, start=0.0)
     assert "open" not in phase_rollup(tracer.spans + [still_open])
+
+
+def test_reset_starts_a_fresh_sinkless_recorder():
+    closed = []
+    tracer = Tracer(clock=FakeClock(), sink=closed.append, retain=False)
+    with tracer.span("closed"):
+        pass
+    # A forked worker inherits the parent's open spans but never closes
+    # them: the ``with`` blocks live on in the parent only.
+    tracer._stack.append(Span(name="pool.batch", span_id=99,
+                              parent_id=None, start=0.0))
+    tracer.reset("worker-3")
+    assert tracer.current is None
+    with tracer.span("query"):
+        pass
+    assert [span.name for span in closed] == ["closed"]
+    assert [(s.name, s.proc, s.parent_id) for s in tracer.spans] == \
+        [("query", "worker-3", None)]
+
+
+def test_graft_readds_records_with_fresh_ids_under_open_span():
+    worker = make_tracer(proc="worker-0")
+    with worker.span("query"):
+        with worker.span("retrain"):
+            pass
+        with worker.span("score"):
+            pass
+    records = [span.to_record() for span in worker.spans]
+
+    parent = make_tracer()
+    with parent.span("earlier"):
+        pass
+    with parent.span("pool.batch") as batch:
+        parent.graft(records)
+    by_name = {span.name: span for span in parent.spans}
+    query = by_name["query"]
+    assert query.parent_id == batch.span_id
+    assert by_name["retrain"].parent_id == query.span_id
+    assert by_name["score"].parent_id == query.span_id
+    assert (query.start, query.end) == (worker.spans[-1].start,
+                                        worker.spans[-1].end)
+    assert all(span.proc == "worker-0" for span in worker.spans)
+    assert len({span.span_id for span in parent.spans}) == len(parent.spans)
+
+
+def test_forked_child_never_writes_the_parent_log(tmp_path):
+    """A span closed in a forked child stays out of the parent's log."""
+    if not hasattr(os, "fork"):
+        pytest.skip("os.fork unavailable")
+    log = tmp_path / "obs.jsonl"
+    run = RunTelemetry(log)
+    with run.span("before-fork"):
+        pass
+    lines = log.read_text().count("\n")
+    pid = os.fork()
+    if pid == 0:  # child: close one span on the inherited tracer
+        try:
+            with run.span("in-child"):
+                pass
+        finally:
+            os._exit(0)
+    os.waitpid(pid, 0)
+    assert log.read_text().count("\n") == lines
+    run.close()
+    assert "in-child" not in {span.name for span in load_run(log).spans}

@@ -1,12 +1,14 @@
-"""Worker-side phase shipping and the pooled-campaign trace account.
+"""Query phase spans at every tier, and the pooled-campaign trace account.
 
-Pooled workers measure each query's attack phases (restore / merge /
-retrain / score) in their own process and ship the deltas back with the
-:class:`~repro.perf.QueryOutcome`; the parent merges them into the
-campaign's profiler.  With tracing attached, the synthesized per-query
-phase spans must account for (nearly) all of the pool's busy time —
-the ISSUE acceptance criterion is a <=5% gap on the covisitation
-testbed — and tracing must leave the training history bit-identical.
+A traced :class:`~repro.recsys.system.RecommenderSystem` records one
+``query`` span per attack around its restore / merge / retrain / score
+spans.  Serially those nest under whatever span is open (the agent's
+``query_batch``, or a serial ``pool.batch``).  Pooled workers record
+them on a reset copy of the tracer and ship the records back with each
+reply; the parent grafts them under the open ``pool.batch`` span with
+their real timestamps.  The worker phase spans must account for (nearly)
+all of the pool's busy time — a <=5% gap on the covisitation testbed —
+and tracing must leave the training history bit-identical.
 """
 
 from __future__ import annotations
@@ -17,22 +19,25 @@ import numpy as np
 import pytest
 
 from repro.core import PoisonRec, PoisonRecConfig
-from repro.obs import RunTelemetry, Tracer, load_run, write_chrome_trace
-from repro.perf import QueryPool, QueryProfiler
-from repro.perf.profile import PhaseDelta, find_profiler
+from repro.obs import (RunTelemetry, Tracer, load_run, phase_rollup,
+                       write_chrome_trace)
+from repro.perf import QueryPool
+from repro.recsys.system import QUERY_PHASES
 
 from .test_pool import HAS_FORK, SumSystem, batch, make_env
 
 needs_fork = pytest.mark.skipif(not HAS_FORK,
                                 reason="fork start method unavailable")
 
-PHASES = ("restore", "merge", "retrain", "score")
+PHASES = QUERY_PHASES
 
 
-def profiled_env(ranker="covisitation", seed=0):
-    env = make_env(ranker, seed=seed)
-    env._system.profiler = QueryProfiler()
-    return env
+def traced_pool(env, workers, tracer):
+    """A pool over ``env`` with ``tracer`` on both the pool and system."""
+    env._system.tracer = tracer
+    pool = QueryPool(env, workers=workers)
+    pool.tracer = tracer
+    return pool
 
 
 def env_batch(env, count, seed=0):
@@ -42,36 +47,28 @@ def env_batch(env, count, seed=0):
              for _ in range(3)] for _ in range(count)]
 
 
-class TestPhaseDelta:
-    def test_delta_isolates_new_queries(self):
-        profiler = QueryProfiler()
-        with profiler.phase("score"):
-            pass
-        before = PhaseDelta(profiler)
-        with profiler.phase("score"):
-            pass
-        with profiler.phase("merge"):
-            pass
-        seconds, calls = before.delta()
-        assert calls == {"score": 1, "merge": 1}  # not the earlier one
-        assert set(seconds) == {"score", "merge"}
+def children(spans, parent):
+    return [span for span in spans if span.parent_id == parent.span_id]
 
-    def test_none_profiler_is_tolerated(self):
-        assert PhaseDelta(None).delta() == (None, None)
 
-    def test_find_profiler_walks_wrappers(self):
-        env = profiled_env()
-        assert find_profiler(env) is env._system.profiler
-        assert find_profiler(SumSystem()) is None
-        assert find_profiler(None) is None
+def assert_query_nests_phases(spans, query):
+    """``query`` holds exactly one span per phase, inside its interval."""
+    inner = children(spans, query)
+    assert sorted(span.name for span in inner) == sorted(PHASES)
+    for span in inner:
+        assert query.start <= span.start <= span.end <= query.end
+        assert span.proc == query.proc
 
 
 @needs_fork
 class TestWorkerShipping:
     def test_phases_shipped_and_merged_into_parent(self):
-        env = profiled_env()
-        profiler = env._system.profiler
-        with QueryPool(env, workers=2) as pool:
+        """Worker query spans land in the parent's tracer, each inside
+        its ``pool.batch`` interval, parented under it and labelled with
+        the worker that ran it."""
+        env = make_env()
+        tracer = Tracer()
+        with traced_pool(env, 2, tracer) as pool:
             outcomes = pool.attack_many(env_batch(env, 6))
             assert pool.parallel
             assert pool.pooled_queries == 6
@@ -79,44 +76,81 @@ class TestWorkerShipping:
         for outcome in outcomes:
             assert outcome.pooled
             assert outcome.seconds > 0.0
-            assert outcome.phases and "score" in outcome.phases
-            # Phase time is a subset of the worker's total query time.
-            assert sum(outcome.phases.values()) <= outcome.seconds
-        # The parent-side profiler absorbed the worker deltas: every
-        # query scored exactly once, despite running out-of-process.
-        assert profiler.summary()["score"]["calls"] == 6
+        spans = tracer.spans
+        (batch_span,) = [s for s in spans if s.name == "pool.batch"]
+        queries = [s for s in spans if s.name == "query"]
+        assert len(queries) == 6
+        for query in queries:
+            assert query.parent_id == batch_span.span_id
+            assert batch_span.start <= query.start
+            assert query.end <= batch_span.end
+            assert query.proc in ("worker-0", "worker-1")
+            assert_query_nests_phases(spans, query)
+        # Every query scored exactly once, despite running out of process.
+        assert sum(s.name == "score" for s in spans) == 6
+        assert len({s.span_id for s in spans}) == len(spans)
 
     def test_untimed_without_observability_consumers(self):
-        """No profiler anywhere -> outcomes still ship wall seconds."""
+        """No tracer anywhere -> outcomes still ship wall seconds."""
         with QueryPool(SumSystem(), workers=2) as pool:
             outcomes = pool.attack_many(batch(3))
         for outcome in outcomes:
             assert outcome.pooled
             assert outcome.seconds > 0.0
-            assert outcome.phases is None
+
+    def test_worker_does_not_write_the_parent_log(self, tmp_path):
+        """Workers inherit the run log's sink; only the parent writes."""
+        log = tmp_path / "obs.jsonl"
+        run = RunTelemetry(log)
+        env = make_env()
+        with traced_pool(env, 2, run.tracer) as pool:
+            pool.attack_many(env_batch(env, 4))
+        run.close()
+        spans = load_run(log).spans
+        ids = [span.span_id for span in spans]
+        assert len(ids) == len(set(ids)) == 1 + 4 * (1 + len(PHASES))
 
 
 class TestSerialTier:
     def test_serial_outcomes_timed_when_observed(self):
-        env = profiled_env()
-        pool = QueryPool(env, workers=1)
-        pool.tracer = Tracer()
+        """The serial tier's queries nest under a serial ``pool.batch``."""
+        env = make_env()
+        pool = traced_pool(env, 1, Tracer())
         outcomes = pool.attack_many(env_batch(env, 4))
         for outcome in outcomes:
             assert not outcome.pooled
-            assert outcome.seconds > 0.0
-            assert outcome.phases and "score" in outcome.phases
-        batches = [s for s in pool.tracer.spans if s.name == "pool.batch"]
-        assert len(batches) == 1
-        assert batches[0].attrs["tier"] == "serial"
+            assert outcome.seconds is None
+        spans = pool.tracer.spans
+        (batch_span,) = [s for s in spans if s.name == "pool.batch"]
+        assert batch_span.attrs["tier"] == "serial"
+        queries = children(spans, batch_span)
+        assert [s.name for s in queries] == ["query"] * 4
+        for query in queries:
+            assert query.proc == "main"
+            assert_query_nests_phases(spans, query)
+
+    def test_serial_campaign_nests_phases_under_query_batch(self):
+        env = make_env()
+        run = RunTelemetry()
+        env._system.tracer = run.tracer
+        config = PoisonRecConfig.ci()
+        PoisonRec(env, config, action_space="plain", obs=run).train(steps=2)
+        rollup = phase_rollup(run.tracer.spans)
+        queries = 2 * config.samples_per_step
+        assert rollup["train_step/query_batch/query"]["calls"] == queries
+        for phase in PHASES:
+            path = f"train_step/query_batch/query/{phase}"
+            assert rollup[path]["calls"] == queries
 
 
 @needs_fork
 class TestPooledCampaignTrace:
     def run_campaign(self, obs=None, workers=4, log=None):
-        env = profiled_env()
+        env = make_env()
         pool = QueryPool(env, workers=workers) if workers else None
         run = RunTelemetry(log) if obs else None
+        if run is not None:
+            env._system.tracer = run.tracer
         if pool is not None and run is not None:
             pool.tracer = run.tracer
             pool.metrics = run.metrics

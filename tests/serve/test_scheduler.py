@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core import PoisonRec
+from repro.obs import RunTelemetry
 from repro.runtime.errors import (CorruptCheckpointError,
                                   TransientEnvironmentError)
 from repro.serve import (CampaignScheduler, CampaignSpec, CampaignStatus,
@@ -14,6 +15,10 @@ from repro.serve.router import CampaignQueryClient, CampaignRouter
 from .conftest import history_fingerprint
 
 NO_SLEEP = staticmethod(lambda seconds: None)
+
+HAS_FORK = "fork" in __import__("multiprocessing").get_all_start_methods()
+needs_fork = pytest.mark.skipif(not HAS_FORK,
+                                reason="fork start method unavailable")
 
 
 def make_scheduler(directory, builder, **kwargs):
@@ -394,5 +399,38 @@ class TestTelemetry:
         scheduler.run()
         totals = telemetry.phase_totals()
         # Serial tier: restore/retrain/score all happen in-process.
-        assert totals, "expected profiler phases at the serial tier"
+        assert totals, "expected query phase spans at the serial tier"
         assert all(seconds >= 0.0 for seconds in totals.values())
+
+    def test_phase_totals_survive_a_second_run(self, tmp_path,
+                                               tiny_builder):
+        """Regression: every further run() re-added each campaign's
+        cumulative phase seconds, doubling the totals."""
+        scheduler = make_scheduler(tmp_path, tiny_builder, slice_steps=2)
+        scheduler.submit(CampaignSpec(name="a", steps=2, seed=0))
+        scheduler.run()
+        totals = scheduler.telemetry.phase_totals()
+        assert set(totals) == {"restore", "merge", "retrain", "score"}
+        scheduler.run()  # no work left
+        assert scheduler.telemetry.phase_totals() == totals
+
+    @needs_fork
+    def test_pooled_phase_spans_nest_under_pool_batch(self, tmp_path,
+                                                      tiny_builder):
+        obs = RunTelemetry()
+        scheduler = make_scheduler(tmp_path, tiny_builder, workers=2,
+                                   slice_steps=2, obs=obs)
+        scheduler.submit(CampaignSpec(name="a", steps=2, seed=0))
+        scheduler.submit(CampaignSpec(name="b", steps=2, seed=1))
+        result = scheduler.run()
+        assert result.all_completed and result.tier == "pooled"
+        spans = {span.span_id: span for span in obs.tracer.spans}
+        queries = [span for span in spans.values() if span.name == "query"]
+        assert queries
+        for query in queries:
+            batch = spans[query.parent_id]
+            assert batch.name == "pool.batch"
+            assert batch.start <= query.start <= query.end <= batch.end
+            assert query.proc.startswith("worker-")
+        assert set(scheduler.telemetry.phase_totals()) == {
+            "restore", "merge", "retrain", "score"}

@@ -1,4 +1,4 @@
-"""FleetTelemetry: rollups, hydration, resumed-fleet rendering, obs."""
+"""FleetTelemetry: phase totals, hydration, resumed-fleet rendering, obs."""
 
 from __future__ import annotations
 
@@ -18,14 +18,6 @@ class FakeStats:
         self.quarantined = quarantined
 
 
-class FakeProfiler:
-    def __init__(self, summary):
-        self._summary = summary
-
-    def summary(self):
-        return self._summary
-
-
 def make_scheduler(directory, builder, **kwargs):
     kwargs.setdefault("sleep", lambda seconds: None)
     return CampaignScheduler(directory, builder=builder, **kwargs)
@@ -34,18 +26,19 @@ def make_scheduler(directory, builder, **kwargs):
 class TestPhaseTotals:
     def test_totals_sum_across_campaigns(self):
         telemetry = FleetTelemetry()
-        telemetry.rollup_profiler("a", FakeProfiler(
-            {"score": {"seconds": 1.0}, "retrain": {"seconds": 2.0}}))
-        telemetry.rollup_profiler("b", FakeProfiler(
-            {"score": {"seconds": 0.5}}))
-        telemetry.rollup_profiler("c", None)  # tolerated
+        tracer = telemetry.obs.tracer
+        for name, start, end in (("score", 0.0, 1.0), ("retrain", 1.0, 3.0),
+                                 ("score", 3.0, 3.5), ("query", 0.0, 4.0)):
+            tracer.add(name, start, end)
         assert telemetry.phase_totals() == {"score": 1.5, "retrain": 2.0}
 
-    def test_repeated_rollups_accumulate(self):
-        telemetry = FleetTelemetry()
-        profiler = FakeProfiler({"merge": {"seconds": 0.25}})
-        telemetry.rollup_profiler("a", profiler)
-        telemetry.rollup_profiler("a", profiler)
+    def test_repeated_reads_count_each_span_once(self):
+        obs = RunTelemetry()
+        telemetry = FleetTelemetry(obs=obs)
+        obs.tracer.add("merge", 0.0, 0.25)
+        assert telemetry.phase_totals() == {"merge": 0.25}
+        assert telemetry.phase_totals() == {"merge": 0.25}
+        obs.tracer.add("merge", 1.0, 1.25)
         assert telemetry.phase_totals() == {"merge": 0.5}
 
 

@@ -150,6 +150,28 @@ class TestCommands:
         assert "fleet: 2 campaign(s)" in out
         assert "completed" in out
 
+    @pytest.mark.slow
+    @pytest.mark.parametrize("obs_log", [False, True])
+    def test_serve_prints_query_phase_totals(self, capsys, tmp_path,
+                                             obs_log):
+        fleet = str(tmp_path / "fleet")
+        assert main(["submit", "--dir", fleet, "--name", "a",
+                     "--ranker", "itempop", "--steps", "1"]) == 0
+        argv = ["serve", "--dir", fleet, "--resume"]
+        log = str(tmp_path / "obs.jsonl")
+        if obs_log:
+            argv += ["--obs-log", log]
+        capsys.readouterr()
+        assert main(argv) == 0
+        line = next(line for line in capsys.readouterr().out.splitlines()
+                    if line.startswith("query phases:"))
+        for phase in ("restore=", "merge=", "retrain=", "score="):
+            assert phase in line
+        if obs_log:
+            assert main(["trace", log]) == 0
+            out = capsys.readouterr().out
+            assert "retrain" in out and "score" in out
+
     def test_submit_duplicate_name_is_an_error(self, capsys, tmp_path):
         fleet = str(tmp_path / "fleet")
         assert main(["submit", "--dir", fleet, "--name", "dup"]) == 0
@@ -188,6 +210,8 @@ class TestObservabilityCommands:
         assert main(["trace", log, "--export", export]) == 0
         out = capsys.readouterr().out
         assert "train_step" in out and "ppo_update" in out
+        for phase in ("query", "restore", "merge", "retrain", "score"):
+            assert f"  {phase} " in out
         assert "chrome trace written" in out
 
         import json
