@@ -53,9 +53,9 @@ class RecencyRanker(Ranker):
                       poison: InteractionLog) -> None:
         self._consume(poison)
 
-    def score(self, user: int, item_ids: np.ndarray) -> np.ndarray:
-        item_ids = np.asarray(item_ids, dtype=np.int64)
-        age = self._clock - self.last_click[item_ids]
+    def score_batch(self, users: np.ndarray,
+                    candidates: np.ndarray) -> np.ndarray:
+        age = self._clock - self.last_click[candidates]
         return np.exp(-age / self.half_life)
 
     def _state(self):

@@ -22,7 +22,6 @@ from __future__ import annotations
 from typing import List, Optional
 
 import numpy as np
-from scipy.optimize import linprog
 
 from ..data.interactions import InteractionLog
 from ..recsys.system import BlackBoxEnvironment
@@ -85,6 +84,9 @@ class ConsLOP(Attack):
         injected edges rival the organic ones, the co-visit rate toward the
         target saturates.
         """
+        # Imported here: scipy.optimize is a third of `import repro.cli`.
+        from scipy.optimize import linprog
+
         reach, degree = self._item_statistics()
         total_budget = self.budget.total_clicks // 2
         weights = reach / degree

@@ -14,6 +14,7 @@ Usage (after ``pip install -e .``)::
         --obs-log fleet/obs.jsonl
     python -m repro trace fleet/obs.jsonl --export trace.json
     python -m repro metrics fleet/obs.jsonl
+    python -m repro check --jobs 2
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from __future__ import annotations
 import argparse
 import pathlib
 import sys
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 from .attacks import BASELINE_CLASSES
 from .core import PoisonRec
@@ -38,7 +39,6 @@ from .runtime.errors import CorruptCheckpointError
 from .serve import (DEFAULT_ACTION_SPACES, DEFAULT_RANKERS, CampaignScheduler,
                     CampaignSpec, FleetTelemetry, SchedulerJournal,
                     grid_specs, replay)
-from .serve.supervision import HOST_ERRORS
 
 METHOD_CHOICES = tuple(BASELINE_CLASSES) + ("poisonrec",)
 ACTION_SPACE_CHOICES = ("plain", "bplain", "bcbt-popular", "bcbt-random")
@@ -188,12 +188,18 @@ def build_parser() -> argparse.ArgumentParser:
                        default=["src", "tests", "benchmarks"],
                        help="paths for graphlint "
                             "(default: src tests benchmarks)")
+    check.add_argument("--format", choices=("text", "json"),
+                       default="text",
+                       help="output format (json replaces the text "
+                            "report; exit codes are unchanged)")
+    check.add_argument("--rules", action="store_true",
+                       help="describe every rule and exit")
+    check.add_argument("--jobs", type=int, default=1, metavar="N",
+                       help="run the three analysis units in N worker "
+                            "processes (findings still aggregate into "
+                            "one exit code)")
     check.add_argument("-v", "--verbose", action="store_true",
                        help="list every passing shapecheck check")
-    check.add_argument("--jobs", type=int, default=1, metavar="N",
-                       help="run the analyzers in N parallel processes "
-                            "(they are independent; findings still "
-                            "aggregate into one exit code)")
     return parser
 
 
@@ -452,64 +458,19 @@ def cmd_metrics(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_analyzer(spec: Tuple[str, str, List[str]]
-                  ) -> Tuple[str, int, str, str]:
-    """Run one analyzer CLI with captured output.
-
-    Module-level and picklable so ``check --jobs N`` can dispatch it to
-    worker processes.  Returns ``(name, exit_code, stdout, stderr)``;
-    analyzer crashes map to the shared internal-error code 2 with the
-    traceback on stderr, so one broken tool cannot mask the others.
-    """
-    import importlib
-    import io
-    import traceback
-    from contextlib import redirect_stderr, redirect_stdout
-
-    name, module_name, argv = spec
-    out, err = io.StringIO(), io.StringIO()
-    try:
-        module = importlib.import_module(module_name)
-        with redirect_stdout(out), redirect_stderr(err):
-            code = module.main(list(argv))
-    except SystemExit as exc:
-        code = exc.code if isinstance(exc.code, int) else 2
-    except Exception as error:
-        if isinstance(error, HOST_ERRORS):
-            raise  # a sick host is not an analyzer finding
-        err.write(traceback.format_exc())
-        code = 2
-    return name, code, out.getvalue(), err.getvalue()
-
-
 def cmd_check(args: argparse.Namespace) -> int:
-    """``check``: graphlint, shapecheck, effectcheck, then faultcheck.
+    """``check``: graphlint, shapecheck, effectcheck and faultcheck.
 
-    With ``--jobs N`` the four analyzers run in parallel processes;
-    their reports are still printed in the fixed order above, and the
-    aggregate exit code is the worst individual one (0 clean /
-    1 findings / 2 internal error).
+    One report in that order and one exit code, the worst of the three
+    work units (0 clean / 1 findings / 2 internal error); see
+    :mod:`repro.devtools.check`.
     """
-    specs: List[Tuple[str, str, List[str]]] = [
-        ("graphlint", "repro.devtools.lint", list(args.paths)),
-        ("shapecheck", "repro.devtools.shapecheck.cli",
-         ["-v"] if args.verbose else []),
-        ("effectcheck", "repro.devtools.effectcheck.cli", []),
-        ("faultcheck", "repro.devtools.faultcheck.cli", []),
-    ]
-    if args.jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        workers = min(args.jobs, len(specs))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_analyzer, specs))
-    else:
-        results = [_run_analyzer(spec) for spec in specs]
-    codes = []
-    for name, code, out, err in results:
-        sys.stdout.write(out)
-        sys.stderr.write(err)
-        codes.append(code)
-    return max(codes)
+    from .devtools.check import describe_rules, run_check
+    if args.rules:
+        describe_rules()
+        return 0
+    return run_check(args.paths, fmt=args.format, jobs=args.jobs,
+                     verbose=args.verbose)
 
 
 COMMANDS = {

@@ -1,18 +1,19 @@
-"""Shared CLI infrastructure for the repo's static analyzers.
+"""Conventions shared by the repo's static analyzers.
 
-graphlint, shapecheck, effectcheck and faultcheck each grew their own
-copies of three conventions; this module is the single home for all of
-them:
+graphlint, shapecheck, effectcheck and faultcheck all report through
+``python -m repro check``; this module is the single home for what they
+have in common:
 
-* **suppression comments** — ``# <tool>: disable=REPxxx`` on any
+* **suppression comments** — ``# <marker>: disable=REPxxx`` on any
   physical line of the innermost statement containing a diagnostic
-  (``disable`` with no ids silences every rule there);
-* **output plumbing** — ``--format=json`` payload assembly and the
-  per-rule ``--statistics`` counts;
+  (``disable`` with no ids silences every rule there).  Each rule family
+  keeps its own marker: ``graphlint`` for REP000–REP008,
+  ``effectcheck`` for REP009–REP012, ``faultcheck`` for REP013–REP017;
+* **report plumbing** — the ``--format json`` payload and its per-rule
+  ``statistics`` counts;
 * **exit codes** — ``0`` clean, ``1`` findings, ``2`` internal error
   (bad paths, unparseable sources, analyzer crashes).  ``argparse``
-  usage errors also exit ``2``, so the codes are uniform across all
-  four CLIs and CI can gate on them without per-tool cases.
+  usage errors also exit ``2``, so CI can gate on the codes alone.
 
 Nothing here imports the analyzed package or the numeric stack; the
 module is stdlib-only so the linters stay runnable in a bare container.
@@ -21,6 +22,7 @@ module is stdlib-only so the linters stay runnable in a bare container.
 from __future__ import annotations
 
 import ast
+import functools
 import json
 import re
 from pathlib import Path
@@ -32,6 +34,7 @@ EXIT_FINDINGS = 1
 EXIT_INTERNAL = 2
 
 
+@functools.lru_cache(maxsize=None)
 def suppression_pattern(tool: str) -> "re.Pattern[str]":
     """The compiled ``# <tool>: disable[=ids]`` comment pattern."""
     return re.compile(
@@ -73,24 +76,20 @@ def stmt_spans(tree: ast.AST) -> List[Tuple[int, int]]:
 
 
 class SuppressionFilter:
-    """Per-file suppression lookups for one tool.
+    """Per-file suppression lookups, built from the file's parsed AST.
 
-    With a parsed ``tree`` the disable comment may sit on any physical
-    line of the *innermost* statement containing the diagnostic —
-    multi-line calls and parenthesized expressions commonly carry it on
-    their closing line.  Without a tree only the diagnostic's own line
-    is consulted.
+    The disable comment may sit on any physical line of the *innermost*
+    statement containing the diagnostic — multi-line calls and
+    parenthesized expressions commonly carry it on their closing line.
     """
 
-    def __init__(self, tool: str, lines: Sequence[str],
-                 tree: Optional[ast.AST] = None) -> None:
-        self.pattern = suppression_pattern(tool)
+    def __init__(self, lines: Sequence[str], tree: ast.AST) -> None:
         self.lines = lines
-        self.spans: Sequence[Tuple[int, int]] = (
-            stmt_spans(tree) if tree is not None else ())
+        self.spans = stmt_spans(tree)
 
-    def covers(self, rule: str, line: int) -> bool:
-        """Whether a disable comment silences ``rule`` at ``line``."""
+    def covers(self, marker: str, rule: str, line: int) -> bool:
+        """Whether a ``# <marker>: disable`` comment silences ``rule``."""
+        pattern = suppression_pattern(marker)
         candidates = {line}
         best: Optional[Tuple[int, int]] = None
         for start, end in self.spans:
@@ -102,7 +101,7 @@ class SuppressionFilter:
         for lineno in candidates:
             if not 0 < lineno <= len(self.lines):
                 continue
-            disabled = suppressed_rules(self.lines[lineno - 1], self.pattern)
+            disabled = suppressed_rules(self.lines[lineno - 1], pattern)
             if disabled is not None and (not disabled or rule in disabled):
                 return True
         return False
@@ -116,17 +115,8 @@ def rule_statistics(diagnostics: Iterable, rule_ids: Iterable[str]) -> dict:
     return counts
 
 
-def diagnostic_row(diag, fields: Sequence[str]) -> dict:
-    """One diagnostic as a JSON-ready dict of the named attributes."""
-    row = {}
-    for name in fields:
-        value = getattr(diag, name)
-        row[name] = list(value) if isinstance(value, tuple) else value
-    return row
-
-
 def json_report(rows: Sequence[dict], statistics: dict, **extra) -> str:
-    """The ``--format=json`` payload shared by every analyzer CLI."""
+    """The ``--format json`` payload: diagnostics, statistics, extras."""
     payload = {"diagnostics": list(rows), "statistics": statistics}
     payload.update(extra)
     return json.dumps(payload, indent=2, sort_keys=True)
@@ -138,23 +128,6 @@ def display_path(path: str) -> str:
         return str(Path(path).resolve().relative_to(Path.cwd()))
     except ValueError:
         return path
-
-
-def render_chain_text(diagnostics: Sequence) -> None:
-    """Print path:line diagnostics with their ``via``/``->`` call chains."""
-    for diag in diagnostics:
-        print(f"{display_path(diag.path)}:{diag.line}: "
-              f"{diag.rule} {diag.message}")
-        for depth, frame in enumerate(diag.chain):
-            arrow = "via" if depth == 0 else " ->"
-            print(f"    {arrow} {frame}")
-
-
-def describe_rules(rules: Iterable[Tuple[str, str, str]]) -> None:
-    """Print the ``--rules`` listing: id, title, indented rationale."""
-    for rule_id, title, rationale in rules:
-        print(f"{rule_id}  {title}")
-        print(f"        {rationale}")
 
 
 def exit_code(diagnostics: Sequence) -> int:

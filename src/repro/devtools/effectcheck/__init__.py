@@ -8,17 +8,17 @@ rules REP009-REP012 (:mod:`.rules`): sanctioned mutation channels,
 snapshot coverage of every reward-query effect, fork safety of
 pool-shipped objects, and ``@pure``/``@mutates`` contract conformance.
 
-Run it via ``python -m repro.devtools.effectcheck`` or as part of the
-aggregate ``python -m repro check`` gate.
+The index and summaries are shared with faultcheck: run both with
+``python -m repro check``, whose program analysis
+(:func:`repro.devtools.check.analyze_program`) builds them once.
 """
 
-from .cli import analyze_package, main, run_self_test
 from .index import PackageIndex
-from .rules import Diagnostic, check_all
-from .summaries import Effect, FunctionSummary, build_summaries
+from .rules import RULES, Diagnostic, check_all
+from .summaries import (Effect, FunctionSummary, build_summaries,
+                        propagate_facts)
 
 __all__ = [
-    "analyze_package", "main", "run_self_test", "PackageIndex",
-    "Diagnostic", "check_all", "Effect", "FunctionSummary",
-    "build_summaries",
+    "PackageIndex", "RULES", "Diagnostic", "check_all", "Effect",
+    "FunctionSummary", "build_summaries", "propagate_facts",
 ]

@@ -4,8 +4,8 @@ Parses every module of a package into a queryable model: modules with
 their import maps, classes with a C3-lite method-resolution order, and
 functions/methods with their effect-contract decorators.  Everything is
 derived from the AST — the analyzed package is never imported, which is
-what lets the planted-mutation self-test analyze a doctored copy of the
-source without executing it.
+what lets the test-suite analyze a doctored copy of the source (planted
+bugs at known lines) without executing it.
 """
 
 from __future__ import annotations
@@ -162,6 +162,9 @@ class PackageIndex:
     # Construction
     # ------------------------------------------------------------------
     def _build(self) -> None:
+        if not self.root.is_dir():
+            # A typo'd root must not produce a vacuous "clean" analysis.
+            raise FileNotFoundError(f"no such package directory: {self.root}")
         for path in sorted(self.root.rglob("*.py")):
             dotted = self._dotted_for(path)
             try:
@@ -451,3 +454,14 @@ class PackageIndex:
     def iter_functions(self) -> Iterator[FunctionInfo]:
         """All indexed functions and methods."""
         return iter(self.functions.values())
+
+    def relpath(self, path: str) -> str:
+        """Render ``path`` relative to the analyzed tree's parent."""
+        try:
+            return str(Path(path).relative_to(self.root.parent))
+        except ValueError:
+            return path
+
+    def frame(self, fn: FunctionInfo, line: int) -> str:
+        """One call-chain frame: ``qualname (relpath:line)``."""
+        return f"{fn.qualname} ({self.relpath(fn.path)}:{line})"

@@ -21,6 +21,7 @@ import ast
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
+from ..common import display_path
 from .index import ClassInfo, PackageIndex, dotted_name
 from .summaries import SELF, Effect, FunctionSummary
 
@@ -34,6 +35,22 @@ PROTOCOL_METHODS: Dict[str, Tuple[str, ...]] = {
     "RecommenderSystem": ("recommend",),
     "RankerSnapshot": ("capture",),
 }
+
+#: ``(id, title, rationale)`` of every effect rule, for ``--rules``.
+RULES = (
+    ("REP009", "sanctioned mutation channels",
+     "ranker/log state may only change through assign_, snapshot "
+     "restore, splice/unsplice or poison_revert"),
+    ("REP010", "snapshot coverage",
+     "state written or RNG streams drawn on the reward-query path must "
+     "be captured by RankerSnapshot, or restore breaks bit-exactness"),
+    ("REP011", "fork safety",
+     "objects shipped to QueryPool workers must not hold open handles, "
+     "locks or live generators"),
+    ("REP012", "effect contracts",
+     "@pure/@mutates declarations are verified against cross-procedural "
+     "effect summaries; protocol methods must carry one"),
+)
 
 #: Attributes protected by REP009 beyond the per-ranker state attrs.
 _ALWAYS_PROTECTED = {"rng", "_sequences"}
@@ -52,6 +69,14 @@ class Diagnostic:
     def sort_key(self) -> Tuple[str, int, str]:
         """Stable ordering: path, then line, then rule id."""
         return (self.path, self.line, self.rule)
+
+    def format(self) -> str:
+        """``path:line: RULE message`` plus one line per chain frame."""
+        lines = [f"{display_path(self.path)}:{self.line}: "
+                 f"{self.rule} {self.message}"]
+        for depth, frame in enumerate(self.chain):
+            lines.append(f"    {'via' if depth == 0 else ' ->'} {frame}")
+        return "\n".join(lines)
 
 
 @dataclass

@@ -29,8 +29,9 @@ discarded, which keeps e.g. ``InteractionLog.copy`` pure.
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass, field, replace
+from typing import (Callable, Dict, FrozenSet, Hashable, Iterable, List,
+                    Optional, Sequence, Set, Tuple, TypeVar)
 
 from .index import ClassInfo, FunctionInfo, PackageIndex, dotted_name
 
@@ -38,6 +39,9 @@ from .index import ClassInfo, FunctionInfo, PackageIndex, dotted_name
 SELF: Tuple[str, Optional[str]] = ("self", None)
 
 Root = Tuple[str, Optional[str]]
+
+#: A propagated fact: an :class:`Effect` or faultcheck's ``RaiseFact``.
+Fact = TypeVar("Fact")
 
 #: Builtins whose result aliases their argument(s).
 ALIAS_BUILTINS = {"zip", "enumerate", "reversed", "iter", "list", "tuple",
@@ -586,51 +590,58 @@ def build_summaries(index: PackageIndex) -> Dict[str, FunctionSummary]:
             summaries[fn.key] = summary
         alias_table = {key: s.returns_aliases
                        for key, s in summaries.items()}
-    _propagate(index, summaries)
+    propagate_facts(index, summaries,
+                    {key: s.effects for key, s in summaries.items()},
+                    _through_call)
     return summaries
 
 
-def _relpath(index: PackageIndex, path: str) -> str:
-    try:
-        from pathlib import Path
-        return str(Path(path).relative_to(index.root.parent))
-    except ValueError:
-        return path
+def _through_call(summary: FunctionSummary,
+                  site: CallSite) -> Callable[[str, Effect], List[Effect]]:
+    """Callee effects as seen by the caller: roots mapped through ``site``."""
+    def through(callee_key: str, effect: Effect) -> List[Effect]:
+        argmap = site.argmaps.get(callee_key, {})
+        return [replace(effect, root=root) for root in
+                _Analyzer._map_callee_root(effect.root, site, argmap)]
+    return through
 
 
-def _propagate(index: PackageIndex,
-               summaries: Dict[str, FunctionSummary]) -> None:
+def propagate_facts(index: PackageIndex,
+                    summaries: Dict[str, FunctionSummary],
+                    tables: Dict[str, Dict[Hashable, Fact]],
+                    through: Callable[[FunctionSummary, CallSite],
+                                      Callable[[str, Fact], Iterable[Fact]]]
+                    ) -> None:
+    """Push callee facts into callers over the call graph, to a fixed point.
+
+    ``tables`` maps each function key to its facts by ``fact.key``; facts
+    are frozen dataclasses with a ``chain`` of caller frames.
+    ``through(summary, site)`` returns the per-site transfer: given a
+    callee key and one of its facts, the facts the caller inherits (an
+    effect with its root mapped, a raise that escapes the ``try`` frames
+    around the call).  Each inherited fact gets the caller's
+    ``qualname (relpath:line)`` frame prepended; chains stop growing at
+    :data:`MAX_CHAIN`, and the first chain found for a key is kept.
+    Summaries are visited in index order and call sites in source order,
+    so the chains are deterministic.
+    """
     changed = True
     while changed:
         changed = False
-        for summary in summaries.values():
+        for key, summary in summaries.items():
+            mine = tables.get(key)
+            if mine is None:
+                continue
             for site in summary.call_sites:
+                transfer = through(summary, site)
+                frame = index.frame(summary.fn, site.line)
                 for callee_key in site.callees:
-                    callee = summaries.get(callee_key)
-                    if callee is None:
-                        continue
-                    if _inherit(index, summary, site, callee):
-                        changed = True
-
-
-def _inherit(index: PackageIndex, caller: FunctionSummary, site: CallSite,
-             callee: FunctionSummary) -> bool:
-    changed = False
-    argmap = site.argmaps.get(callee.fn.key, {})
-    frame = (f"{caller.fn.qualname} "
-             f"({_relpath(index, caller.fn.path)}:{site.line})")
-    for effect in list(callee.effects.values()):
-        if len(effect.chain) >= MAX_CHAIN:
-            continue
-        mapped_site = CallSite(callees=site.callees,
-                               receiver_roots=site.receiver_roots,
-                               argmaps=site.argmaps, line=site.line)
-        for root in _Analyzer._map_callee_root(effect.root, mapped_site,
-                                               argmap):
-            inherited = Effect(kind=effect.kind, root=root,
-                               attr=effect.attr, path=effect.path,
-                               line=effect.line, detail=effect.detail,
-                               chain=(frame,) + effect.chain)
-            if caller.add(inherited):
-                changed = True
-    return changed
+                    for fact in list(tables.get(callee_key, {}).values()):
+                        if len(fact.chain) >= MAX_CHAIN:
+                            continue
+                        for inherited in transfer(callee_key, fact):
+                            inherited = replace(
+                                inherited, chain=(frame,) + fact.chain)
+                            if inherited.key not in mine:
+                                mine[inherited.key] = inherited
+                                changed = True

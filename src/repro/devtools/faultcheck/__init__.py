@@ -16,27 +16,24 @@ bottom-up fixed-point machinery effectcheck uses for purity:
 * **REP017** — restore-on-raise: try-scoped ranker mutations are
   restored in re-raising handlers.
 
-Run ``python -m repro.devtools.faultcheck`` (or ``--self-test`` for the
-planted-bug end-to-end check).  Stdlib-only: the analyzed package is
-parsed, never imported.
+Run it with ``python -m repro check``, whose program analysis
+(:func:`repro.devtools.check.analyze_program`) builds the index and
+summaries once for effectcheck and faultcheck together.  Stdlib-only:
+the analyzed package is parsed, never imported.
 """
 
-from .cli import analyze_package, default_root, main, run_self_test
 from .flows import (ExceptionTable, FaultFacts, RaiseFact, extract_facts,
                     propagate_raises, reachability)
-from .rules import FaultContext, check_all
+from .rules import RULES, FaultContext, check_all
 
 __all__ = [
     "ExceptionTable",
     "FaultContext",
     "FaultFacts",
+    "RULES",
     "RaiseFact",
-    "analyze_package",
     "check_all",
-    "default_root",
     "extract_facts",
-    "main",
     "propagate_raises",
     "reachability",
-    "run_self_test",
 ]

@@ -15,7 +15,9 @@ Builds, per function, the raw fault-path facts the rules consume:
   fork targets.
 
 On top of the facts, :func:`propagate_raises` runs the same bottom-up
-fixed point effectcheck uses for effects: a function's **raise set** is
+fixed point effectcheck uses for effects
+(:func:`~repro.devtools.effectcheck.summaries.propagate_facts`): a
+function's **raise set** is
 its own escaping raise sites plus every callee raise that escapes the
 ``try`` frames around the call site, each carrying the full call chain
 back to the leaf ``raise``.  Dynamic re-raises (``raise err``) and
@@ -34,12 +36,12 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from ..effectcheck.index import (FunctionInfo, ModuleInfo, PackageIndex,
                                  dotted_name)
-from ..effectcheck.summaries import MAX_CHAIN, FunctionSummary
+from ..effectcheck.summaries import (MAX_CHAIN, CallSite, FunctionSummary,
+                                     propagate_facts)
 
 #: Builtin exception hierarchy (child -> parent), enough to decide what
 #: ``except Exception`` catches without importing anything.
@@ -186,14 +188,6 @@ class FaultFacts:
     resets: Set[str] = field(default_factory=set)
     #: Function keys passed as ``target=`` to a ``Process(...)`` call.
     process_targets: List[str] = field(default_factory=list)
-
-
-def relpath(index: PackageIndex, path: str) -> str:
-    """Render ``path`` relative to the analyzed tree's parent."""
-    try:
-        return str(Path(path).relative_to(index.root.parent))
-    except ValueError:
-        return path
 
 
 # ----------------------------------------------------------------------
@@ -594,32 +588,13 @@ def propagate_raises(index: PackageIndex,
                                    path=fact.fn.path, line=site.line)
                 own[raised.key] = raised
         table_out[key] = own
-    changed = True
-    while changed:
-        changed = False
-        for key, summary in summaries.items():
-            fact = facts.get(key)
-            if fact is None:
-                continue
-            mine = table_out.setdefault(key, {})
-            for site in summary.call_sites:
-                frames = guards_at(fact, site.line)
-                frame = (f"{summary.fn.qualname} "
-                         f"({relpath(index, summary.fn.path)}:{site.line})")
-                for callee_key in site.callees:
-                    for raised in list(table_out.get(callee_key,
-                                                     {}).values()):
-                        if len(raised.chain) >= MAX_CHAIN:
-                            continue
-                        if not escapes(table, raised.type_key, frames):
-                            continue
-                        inherited = RaiseFact(
-                            type_key=raised.type_key, name=raised.name,
-                            path=raised.path, line=raised.line,
-                            chain=(frame,) + raised.chain)
-                        if inherited.key not in mine:
-                            mine[inherited.key] = inherited
-                            changed = True
+
+    def through(summary: FunctionSummary, site: CallSite):
+        frames = guards_at(facts[summary.fn.key], site.line)
+        return lambda _, raised: (
+            [raised] if escapes(table, raised.type_key, frames) else [])
+
+    propagate_facts(index, summaries, table_out, through)
     return table_out
 
 
@@ -642,10 +617,8 @@ def reachability(index: PackageIndex,
         chain = reach[key]
         if len(chain) >= MAX_CHAIN:
             continue
-        frame = (f"{summary.fn.qualname} "
-                 f"({relpath(index, summary.fn.path)}")
         for site in summary.call_sites:
-            hop = f"{frame}:{site.line})"
+            hop = index.frame(summary.fn, site.line)
             for callee_key in site.callees:
                 if callee_key in reach:
                     continue

@@ -38,7 +38,7 @@ from ..effectcheck.index import ClassInfo, PackageIndex, dotted_name
 from ..effectcheck.rules import Diagnostic
 from ..effectcheck.summaries import FunctionSummary
 from .flows import (HOST_ERROR_NAMES, ExceptionTable, FaultFacts, Handler,
-                    extract_facts, propagate_raises, reachability, relpath)
+                    extract_facts, propagate_raises, reachability)
 
 #: Entry points of the supervised query path (class name, method name):
 #: the agent's training loop, the fleet scheduler's drive loop, the
@@ -67,6 +67,30 @@ CONTRACT_EXCEPTIONS = frozenset({
 })
 _ALLOWED_ANCESTRY = (frozenset({TAXONOMY_ROOT}) | set(HOST_ERROR_NAMES)
                      | CONTROL_EXCEPTIONS | CONTRACT_EXCEPTIONS)
+
+#: ``(id, title, rationale)`` of every fault rule, for ``--rules``.
+RULES = (
+    ("REP013", "no taxonomy laundering of host errors",
+     "handlers broad enough to catch MemoryError/SystemError/"
+     "RecursionError must re-raise them (the CampaignScheduler."
+     "_run_slice gate) or ship them out of process (the pool worker)"),
+    ("REP014", "taxonomy exhaustiveness on the query path",
+     "every statically-typed raise escaping the supervised query path "
+     "must map into the Transient/Fatal taxonomy (CampaignError), the "
+     "host triple, control-flow or contract exceptions"),
+    ("REP015", "fork-protocol safety",
+     "code reachable from a forked worker entry must not install "
+     "signal handlers, spawn threads/processes or touch parent fds; "
+     "the entry must reset inherited SIGTERM/SIGINT handlers"),
+    ("REP016", "journal torn-tail write protocol",
+     "self-stored open() journal handles are append-only, every write "
+     "is flushed in the same method, the class fsyncs the handle, and "
+     "nothing seeks or truncates it"),
+    ("REP017", "restore-on-raise consistency",
+     "a method that mutates ranker state inside a try must restore it "
+     "in any re-raising handler before the raise (the "
+     "RecommenderSystem.inject pattern)"),
+)
 
 #: Sanctioned repair channels for REP017 (and excluded from its list of
 #: state-mutating triggers — they *are* the restore path).
@@ -202,8 +226,7 @@ def _installer_frames(ctx: FaultContext) -> Tuple[str, ...]:
             if op.kind != "signal_install":
                 continue
             frames.append(
-                f"{fact.fn.qualname} "
-                f"({relpath(ctx.index, fact.fn.path)}:{op.line}) "
+                f"{ctx.index.frame(fact.fn, op.line)} "
                 f"installs {op.detail} — forked workers inherit it")
     return tuple(sorted(frames))
 

@@ -5,6 +5,7 @@ experiment tables trustworthy, as named rules with ``file:line:col``
 diagnostics:
 
 ========  ===========================================================
+REP000    a file that does not parse is a finding, never skipped
 REP001    no legacy global ``np.random.*`` calls — randomness must
           flow through ``np.random.default_rng(seed)`` / injected rngs
 REP002    no bare or blind ``except`` handlers
@@ -21,14 +22,8 @@ REP008    environment queries in ``repro/core/`` go through the
           ``call_with_retry`` wrapper, never raw ``env.attack``
 ========  ===========================================================
 
-Usage::
-
-    python -m repro.devtools.lint src/ tests/ benchmarks/
-    python -m repro.devtools.lint --rules          # describe every rule
-    python -m repro.devtools.lint --format=json    # machine-readable
-    python -m repro.devtools.lint --statistics     # per-rule counts
-
-A diagnostic can be silenced with a trailing comment on any physical
+graphlint runs as part of ``python -m repro check [paths]``.  A
+diagnostic can be silenced with a trailing comment on any physical
 line of the offending statement::
 
     thing.data = arr  # graphlint: disable=REP003
@@ -39,17 +34,12 @@ See ``docs/static_analysis.md`` for the full rationale per rule.
 
 from __future__ import annotations
 
-import argparse
 import ast
-import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, List, Sequence, Tuple
 
-from .common import (EXIT_CLEAN, EXIT_FINDINGS, EXIT_INTERNAL,
-                     SuppressionFilter, describe_rules, exit_code,
-                     json_report)
-from .common import rule_statistics as _common_statistics
+from .common import SuppressionFilter
 
 #: Members of ``np.random`` that are part of the seeded-Generator API and
 #: therefore allowed; everything else is the legacy global-state API.
@@ -555,6 +545,12 @@ class RawEnvironmentQueryRule(Rule):
                    for node in ast.walk(fn))
 
 
+#: ``(id, title, rationale)`` of the parse-failure finding, which no
+#: :class:`Rule` emits: :func:`lint_source` reports it directly.
+SYNTAX_RULE = ("REP000", "syntax error",
+               "a file graphlint cannot parse is reported as a finding, "
+               "so a broken file never passes as clean")
+
 #: Every active rule, in report order.
 RULES: Tuple[Rule, ...] = (
     LegacyRandomRule(), BlindExceptRule(), TensorMutationRule(),
@@ -569,14 +565,14 @@ def lint_source(source: str, path: str = "<string>") -> List[Diagnostic]:
         tree = ast.parse(source, filename=path)
     except SyntaxError as err:
         return [Diagnostic(path, err.lineno or 1, (err.offset or 0) + 1,
-                           "REP000", f"syntax error: {err.msg}")]
+                           SYNTAX_RULE[0], f"syntax error: {err.msg}")]
     lines = source.splitlines()
-    suppressions = SuppressionFilter("graphlint", lines, tree)
+    suppressions = SuppressionFilter(lines, tree)
     diagnostics: List[Diagnostic] = []
     ctx = _FileContext(path, tree, lines)
     for rule in RULES:
         for diag in rule.check(ctx):
-            if suppressions.covers(diag.rule, diag.line):
+            if suppressions.covers("graphlint", diag.rule, diag.line):
                 continue
             diagnostics.append(diag)
     return sorted(diagnostics)
@@ -615,67 +611,3 @@ def lint_paths(paths: Iterable[str]) -> Tuple[List[Diagnostic], int]:
         source = path.read_text(encoding="utf-8")
         diagnostics.extend(lint_source(source, str(path)))
     return diagnostics, checked
-
-
-def _print_rules() -> None:
-    describe_rules((rule.id, rule.title, rule.rationale) for rule in RULES)
-
-
-def rule_statistics(diagnostics: Sequence[Diagnostic]) -> dict:
-    """Diagnostic counts per rule id, covering every registered rule."""
-    return _common_statistics(diagnostics, [rule.id for rule in RULES])
-
-
-def _render_json(diagnostics: Sequence[Diagnostic], checked: int) -> str:
-    """The ``--format=json`` payload (diagnostics, stats, file count)."""
-    rows = [{"path": d.path, "line": d.line, "col": d.col,
-             "rule": d.rule, "message": d.message} for d in diagnostics]
-    return json_report(rows, rule_statistics(diagnostics),
-                       files_checked=checked)
-
-
-def main(argv: Sequence[str] | None = None) -> int:
-    """CLI entry point; returns the process exit code."""
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.devtools.lint",
-        description="graphlint: repo-specific static analysis")
-    parser.add_argument("paths", nargs="*", default=["src", "tests",
-                                                     "benchmarks"],
-                        help="files or directories to lint "
-                             "(default: src tests benchmarks)")
-    parser.add_argument("--rules", action="store_true",
-                        help="describe every rule and exit")
-    parser.add_argument("--format", choices=("text", "json"), default="text",
-                        help="output format (json suppresses the human "
-                             "report; exit codes are unchanged)")
-    parser.add_argument("--statistics", action="store_true",
-                        help="print per-rule diagnostic counts")
-    args = parser.parse_args(argv)
-    if args.rules:
-        _print_rules()
-        return 0
-    try:
-        diagnostics, checked = lint_paths(args.paths)
-    except FileNotFoundError as error:
-        print(f"graphlint: {error}", file=sys.stderr)
-        return EXIT_INTERNAL
-    if args.format == "json":
-        print(_render_json(diagnostics, checked))
-        return exit_code(diagnostics)
-    for diag in diagnostics:
-        print(diag.format())
-    if args.statistics:
-        for rule_id, count in sorted(rule_statistics(diagnostics).items()):
-            print(f"{rule_id}  {count}")
-    if diagnostics:
-        files = len({d.path for d in diagnostics})
-        print(f"graphlint: {len(diagnostics)} error(s) in {files} file(s) "
-              f"({checked} checked)", file=sys.stderr)
-        return EXIT_FINDINGS
-    print(f"graphlint: clean ({checked} files, {len(RULES)} rules)",
-          file=sys.stderr)
-    return EXIT_CLEAN
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -3,8 +3,8 @@
 Traces real forward-pass code on :class:`SymTensor` values whose dims
 are ints or named symbols (``B``, ``T``), verifying ``@shape_spec``
 contracts without a single real matmul.  See
-``docs/static_analysis.md`` for the architecture and
-``python -m repro.devtools.shapecheck`` for the whole-repo check.
+``docs/static_analysis.md`` for the architecture; ``python -m repro
+check`` runs the whole-repo check (:func:`run_all`).
 """
 
 from .contracts import ContractError, checked_call, parse_spec, verify

@@ -54,7 +54,7 @@ def pure(fn: _F) -> _F:
 
     No ``self``-attribute writes, no in-place argument mutation, no RNG
     draws — transitively, through everything ``fn`` calls.  Checked
-    statically by ``python -m repro.devtools.effectcheck``.
+    statically by ``python -m repro check`` (effectcheck).
     """
     setattr(fn, EFFECT_ATTRIBUTE, ())
     return fn

@@ -138,14 +138,6 @@ class AutoRec(Ranker):
         return self.net(Tensor(self._rows(padded))).numpy()[:n]
 
     @pure
-    @shape_spec("_, (C,) -> (C,)")
-    def score(self, user: int, item_ids: np.ndarray) -> np.ndarray:
-        # Routed through the batched candidate-only decoder so serial
-        # and batched scoring share every reduction order.
-        item_ids = np.asarray(item_ids, dtype=np.int64)
-        return self.score_batch(np.asarray([user]), item_ids[None, :])[0]
-
-    @pure
     @shape_spec("(B,), (B, C) -> (B, C)")
     def score_batch(self, users: np.ndarray,
                     candidates: np.ndarray) -> np.ndarray:

@@ -3,7 +3,7 @@
 A :class:`Ranker` scores candidate items for a user.  The recommender
 *system* (``repro.recsys.system``) owns candidate generation, top-k
 selection and the poison/retrain loop; rankers only implement ``fit`` /
-``score`` plus snapshot/restore so the system can implement the paper's
+``score_batch`` plus snapshot/restore so the system can implement the paper's
 "Reload the Ranker R, update R with D^p" poisoning step cheaply.
 """
 
@@ -91,21 +91,26 @@ class Ranker(abc.ABC):
     # ------------------------------------------------------------------
     @pure
     @shape_spec("_, (C,) -> (C,)")
-    @abc.abstractmethod
     def score(self, user: int, item_ids: np.ndarray) -> np.ndarray:
-        """Preference scores for ``user`` over ``item_ids`` (higher=better)."""
+        """Preference scores for ``user`` over ``item_ids`` (higher=better).
+
+        Routed through :meth:`score_batch` with a one-user batch, so
+        serial and batched scoring share every reduction order and agree
+        bit for bit.
+        """
+        item_ids = np.asarray(item_ids, dtype=np.int64)
+        return self.score_batch(np.asarray([user]), item_ids[None, :])[0]
 
     @pure
     @shape_spec("(B,), (B, C) -> (B, C)")
+    @abc.abstractmethod
     def score_batch(self, users: np.ndarray,
                     candidates: np.ndarray) -> np.ndarray:
         """Scores for many users at once.
 
-        ``candidates`` is ``(num_users, candidate_size)``; the default
-        implementation loops, subclasses vectorize where it pays off.
+        ``candidates`` is ``(num_users, candidate_size)``; row ``i`` holds
+        the items to score for ``users[i]``.
         """
-        return np.stack([self.score(int(u), candidates[i])
-                         for i, u in enumerate(users)])
 
     # ------------------------------------------------------------------
     # State management (for the reload-and-poison loop)

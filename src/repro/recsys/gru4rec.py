@@ -168,12 +168,6 @@ class GRU4Rec(Ranker):
 
     # ------------------------------------------------------------------
     @pure
-    @shape_spec("_, (C,) -> (C,)")
-    def score(self, user: int, item_ids: np.ndarray) -> np.ndarray:
-        return self.score_batch(np.array([user]),
-                                np.asarray(item_ids)[None, :])[0]
-
-    @pure
     @shape_spec("(B,), (B, C) -> (B, C)")
     def score_batch(self, users: np.ndarray,
                     candidates: np.ndarray) -> np.ndarray:

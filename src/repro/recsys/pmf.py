@@ -123,14 +123,6 @@ class PMF(Ranker):
 
     # ------------------------------------------------------------------
     @pure
-    @shape_spec("_, (C,) -> (C,)")
-    def score(self, user: int, item_ids: np.ndarray) -> np.ndarray:
-        # Routed through the batched einsum (not a GEMV) so serial and
-        # batched scoring share one reduction order — bit-identical.
-        item_ids = np.asarray(item_ids, dtype=np.int64)
-        return self.score_batch(np.asarray([user]), item_ids[None, :])[0]
-
-    @pure
     @shape_spec("(B,), (B, C) -> (B, C)")
     def score_batch(self, users: np.ndarray,
                     candidates: np.ndarray) -> np.ndarray:

@@ -1,8 +1,8 @@
 """Shared analyzer infrastructure (``repro.devtools.common``).
 
 The suppression parser, statement-span logic, JSON payload shape and
-exit-code convention are shared by all four analyzer CLIs, so a
-regression here would silently change every tool at once.
+exit-code convention are shared by all four analyzers, so a regression
+here would silently change every tool at once.
 """
 
 import ast
@@ -45,27 +45,25 @@ class TestSuppressionFilter:
               "    )  # mytool: disable=REP001\n")
 
     def _filter(self):
-        return SuppressionFilter("mytool", self.SOURCE.splitlines(),
+        return SuppressionFilter(self.SOURCE.splitlines(),
                                  ast.parse(self.SOURCE))
 
     def test_comment_on_closing_line_covers_statement(self):
         # The diagnostic anchors on the call's first line; the comment
         # sits on the closing paren of the same (innermost) statement.
-        assert self._filter().covers("REP001", 2)
+        assert self._filter().covers("mytool", "REP001", 2)
 
     def test_wrong_rule_id_does_not_cover(self):
-        assert not self._filter().covers("REP999", 2)
+        assert not self._filter().covers("mytool", "REP999", 2)
 
     def test_def_line_not_covered_by_body_comment(self):
         # A compound statement's span stops before its first body
         # statement, so the def line itself stays uncovered.
-        assert not self._filter().covers("REP001", 1)
+        assert not self._filter().covers("mytool", "REP001", 1)
 
-    def test_without_tree_only_own_line_is_consulted(self):
-        lines = self.SOURCE.splitlines()
-        flat = SuppressionFilter("mytool", lines)
-        assert flat.covers("REP001", 4)
-        assert not flat.covers("REP001", 2)
+    def test_other_marker_does_not_cover(self):
+        # One filter serves every rule family; each keeps its marker.
+        assert not self._filter().covers("othertool", "REP001", 2)
 
 
 class TestStmtSpans:

@@ -1,4 +1,4 @@
-"""graphlint tests: each REP rule, suppression, CLI, and repo cleanliness."""
+"""graphlint tests: each REP rule, suppression, report, repo cleanliness."""
 
 import json
 import pathlib
@@ -6,7 +6,9 @@ import textwrap
 
 import pytest
 
-from repro.devtools.lint import RULES, lint_paths, lint_source, main
+from repro.devtools.check import (describe_rules, lint_unit, render_json,
+                                  render_text, run_check)
+from repro.devtools.lint import RULES, lint_paths, lint_source
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[2]
 
@@ -379,11 +381,15 @@ class TestSuppression:
 
 
 class TestCLI:
+    """graphlint's unit of ``repro check``: exit codes and both formats."""
+
     def test_seeded_violation_exits_nonzero_with_location(self, tmp_path,
                                                           capsys):
         bad = tmp_path / "bad.py"
         bad.write_text("import numpy as np\nx = np.random.rand(4)\n")
-        assert main([str(tmp_path)]) == 1
+        outcome = lint_unit([str(tmp_path)])
+        assert outcome.code == 1
+        render_text([outcome])
         out = capsys.readouterr().out
         assert f"{bad}:2:5: REP001" in out
 
@@ -391,7 +397,9 @@ class TestCLI:
         good = tmp_path / "good.py"
         good.write_text('"""Doc."""\nimport numpy as np\n'
                         "rng = np.random.default_rng(0)\n")
-        assert main([str(tmp_path)]) == 0
+        outcome = lint_unit([str(tmp_path)])
+        assert outcome.code == 0
+        render_text([outcome])
         assert "clean" in capsys.readouterr().err
 
     def test_syntax_error_is_reported_not_raised(self, tmp_path):
@@ -404,11 +412,13 @@ class TestCLI:
     def test_missing_path_is_an_error_not_a_vacuous_pass(self, tmp_path,
                                                          capsys):
         missing = tmp_path / "nope"
-        assert main([str(missing)]) == 2
+        assert run_check([str(missing)]) == 2
         assert "no such file" in capsys.readouterr().err
+        with pytest.raises(FileNotFoundError):
+            lint_paths([str(missing)])
 
     def test_rules_listing(self, capsys):
-        assert main(["--rules"]) == 0
+        describe_rules()
         out = capsys.readouterr().out
         for rule in RULES:
             assert rule.id in out
@@ -416,7 +426,7 @@ class TestCLI:
     def test_json_format_with_violation(self, tmp_path, capsys):
         bad = tmp_path / "bad.py"
         bad.write_text("import numpy as np\nx = np.random.rand(4)\n")
-        assert main(["--format=json", str(tmp_path)]) == 1
+        render_json([lint_unit([str(tmp_path)])])
         payload = json.loads(capsys.readouterr().out)
         assert payload["files_checked"] == 1
         assert payload["statistics"]["REP001"] == 1
@@ -428,7 +438,9 @@ class TestCLI:
     def test_json_format_clean_exits_zero(self, tmp_path, capsys):
         good = tmp_path / "good.py"
         good.write_text('"""Doc."""\n')
-        assert main(["--format=json", str(tmp_path)]) == 0
+        outcome = lint_unit([str(tmp_path)])
+        assert outcome.code == 0
+        render_json([outcome])
         payload = json.loads(capsys.readouterr().out)
         assert payload["diagnostics"] == []
         assert all(count == 0
@@ -437,11 +449,11 @@ class TestCLI:
     def test_statistics_lists_every_rule(self, tmp_path, capsys):
         bad = tmp_path / "bad.py"
         bad.write_text("import numpy as np\nx = np.random.rand(4)\n")
-        assert main(["--statistics", str(tmp_path)]) == 1
-        out = capsys.readouterr().out
-        assert "REP001  1" in out
+        render_json([lint_unit([str(tmp_path)])])
+        statistics = json.loads(capsys.readouterr().out)["statistics"]
+        assert statistics["REP001"] == 1
         for rule in RULES:
-            assert rule.id in out
+            assert rule.id in statistics
 
 
 def test_repo_is_lint_clean():

@@ -15,7 +15,8 @@ from repro.devtools.shapecheck import (BOOL, ContractError, Dim, FLOAT64,
                                        parse_spec, reshape_shape,
                                        run_all, run_checks, stack_shapes,
                                        sym_input, symbolic_trace)
-from repro.devtools.shapecheck import cli as shapecheck_cli
+from repro.devtools.check import render_text, shape_unit
+from repro.devtools.shapecheck import drivers
 from repro.nn import Dense, Tensor
 from repro.nn import functional as F
 from repro.nn.spec import SPEC_ATTRIBUTE, get_shape_spec, shape_spec
@@ -197,7 +198,9 @@ class TestCLIAndMutation:
         assert failures == []
 
     def test_cli_exit_zero_when_clean(self, capsys):
-        assert shapecheck_cli.main([]) == 0
+        outcome = shape_unit()
+        assert outcome.code == 0
+        render_text([outcome])
         assert "clean" in capsys.readouterr().err
 
     def _mutated_dense_check(self):
@@ -228,10 +231,12 @@ class TestCLIAndMutation:
     def test_mutated_weight_fails_cli_with_nonzero_exit(self, capsys,
                                                         monkeypatch):
         monkeypatch.setattr(
-            shapecheck_cli, "run_all",
+            drivers, "run_all",
             lambda: run_checks([("nn.Dense[mutated]",
                                  self._mutated_dense_check())]))
-        assert shapecheck_cli.main([]) == 1
+        outcome = shape_unit()
+        assert outcome.code == 1
+        render_text([outcome])
         captured = capsys.readouterr()
         assert "FAIL nn.Dense[mutated]" in captured.out
         assert self._expected_anchor() in captured.out

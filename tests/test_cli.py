@@ -1,5 +1,10 @@
 """CLI smoke tests (argument parsing and fast subcommands)."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -221,3 +226,19 @@ class TestObservabilityCommands:
 
         assert main(["metrics", log]) == 0
         assert "agent.queries" in capsys.readouterr().out
+
+
+class TestImportCost:
+    def test_cli_import_skips_scipy_optimize_and_devtools(self):
+        # Every `repro` invocation pays for `import repro.cli`: the LP
+        # solver loads only when ConsLOP runs, the analyzers only when
+        # `repro check` runs.
+        src = Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, repro.cli; print(sorted(m for m in sys.modules "
+             "if m == 'scipy.optimize' or m.startswith('repro.devtools')))"],
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": str(src)})
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
