@@ -9,10 +9,10 @@ entry point:
   exception handlers, sanctioned tensor mutation, dtype discipline,
   backward-closure hygiene, docstring coverage, checkpoint determinism,
   retry-wrapped environment queries) as named ``REPxxx`` rules.
-* :mod:`repro.devtools.shapecheck` — **shapecheck**, a symbolic
-  shape/dtype abstract interpreter that runs the real ``repro.nn``
-  forward passes on tensors with named symbolic dims and verifies the
-  ``@shape_spec`` contracts declared across the stack.
+* :mod:`repro.devtools.shapecheck` — **shapecheck**, which runs the
+  real forward passes of the nn layers, neural rankers and policy on
+  small concrete inputs and verifies the ``@shape_spec`` contracts
+  declared across the stack.
 * :mod:`repro.devtools.effectcheck` — **effectcheck**, a
   cross-procedural purity/effect analyzer that verifies the
   ``@pure``/``@mutates`` contracts from :mod:`repro.effects` and the
@@ -39,13 +39,11 @@ engine it instruments: :mod:`repro.nn.anomaly`.
 
 __all__ = ["Diagnostic", "RULES", "lint_paths", "lint_source",
            "gradcheck", "gradcheck_param", "numeric_gradient",
-           "ContractError", "ShapeError", "SymTensor", "checked_call",
-           "symbolic_trace", "analyze_program"]
+           "ContractError", "checked_call", "analyze_program"]
 
 _LINT_NAMES = ("Diagnostic", "RULES", "lint_paths", "lint_source")
 _GRADCHECK_NAMES = ("gradcheck", "gradcheck_param", "numeric_gradient")
-_SHAPECHECK_NAMES = ("ContractError", "ShapeError", "SymTensor",
-                     "checked_call", "symbolic_trace")
+_SHAPECHECK_NAMES = ("ContractError", "checked_call")
 
 
 def __getattr__(name):

@@ -3,8 +3,8 @@
 Three work units cover the four analyzers:
 
 * **graphlint** over the given paths (REP000–REP008, one file at a time);
-* **shapecheck**, the symbolic forward passes that verify every
-  ``@shape_spec`` contract;
+* **shapecheck**, the forward passes on small concrete probes that
+  verify every ``@shape_spec`` contract;
 * the **program analysis**: :func:`analyze_program` indexes the
   ``repro`` package and builds its call-graph summaries once, then runs
   effectcheck (REP009–REP012) and faultcheck (REP013–REP017) on them.

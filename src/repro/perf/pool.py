@@ -347,10 +347,6 @@ class QueryPool:
     # ------------------------------------------------------------------
     # Query execution
     # ------------------------------------------------------------------
-    def attack(self, trajectories: Sequence[Sequence[int]]) -> float:
-        """One in-process query (convenience; bypasses the workers)."""
-        return float(self.system.attack(trajectories))
-
     def _span(self, name: str, **attrs):
         """A tracer span, or a no-op context when tracing is off."""
         if self.tracer is None:

@@ -1,8 +1,8 @@
-"""Planted-bug helpers for the program-analysis tests.
+"""Planted-bug helpers for the analyzer tests.
 
-Each helper doctors a copy of the ``repro`` source tree with one bug the
-analyzers exist to catch and returns the doctored file plus the exact
-line a diagnostic must anchor at:
+The program-analysis helpers doctor a copy of the ``repro`` source tree
+with one bug the analyzers exist to catch and return the doctored file
+plus the exact line a diagnostic must anchor at:
 
 * :func:`plant_mutation` — a hidden in-place write in
   ``ItemPop.score_batch``, the kernel ``RecommenderSystem.recommend``
@@ -11,14 +11,32 @@ line a diagnostic must anchor at:
   widened to swallow ``MemoryError`` (faultcheck REP013);
 * :func:`plant_deleted_signal_reset` — the pool worker's inherited
   signal resets deleted (faultcheck REP015).
+
+The shapecheck plants (:data:`SHAPE_PLANTS`) touch no source file: each
+wraps one constructor the shapecheck driver module calls, so the object
+one named check builds carries a shape bug.
 """
 
 import ast
+import inspect
 import shutil
+from dataclasses import dataclass
 from pathlib import Path
-from typing import List, Optional, Sequence, Tuple
+from types import ModuleType
+from typing import Callable, List, Optional, Sequence, Tuple
 
+import numpy as np
+import pytest
+
+from repro.core.action_space import BPlainActionSpace
+from repro.core.policy import PolicyNetwork
 from repro.devtools.check import PACKAGE_ROOT
+from repro.devtools.shapecheck import checked_call
+from repro.devtools.shapecheck.drivers import PROBE_BATCH
+from repro.nn import MLP, Dense, Embedding, Tensor
+from repro.recsys.neumf import _NeuMFNet
+from repro.recsys.pmf import PMF
+from repro.recsys.registry import make_ranker
 
 
 def copy_package(dest: Path) -> Path:
@@ -128,3 +146,98 @@ def plant_deleted_signal_reset(root: Path) -> Tuple[Path, int]:
         raise RuntimeError("signal resets in _worker_main not found")
     delete_lines(target, spans)
     return target, worker.lineno
+
+
+# ----------------------------------------------------------------------
+# shapecheck plants
+# ----------------------------------------------------------------------
+def source_anchor(function: Callable, snippet: str) -> str:
+    """``file.py:N`` of the first line of ``function`` holding ``snippet``."""
+    lines, start = inspect.getsourcelines(function)
+    offset = next(index for index, line in enumerate(lines)
+                  if snippet in line)
+    return f"{Path(inspect.getsourcefile(function)).name}:{start + offset}"
+
+
+def transposed_dense(*args, **kwargs) -> Dense:
+    """A :class:`Dense` whose weight is stored transposed, ``(out, in)``."""
+    dense = Dense(*args, **kwargs)
+    dense.weight = Tensor(dense.weight.data.T.copy(), requires_grad=True,
+                          name="dense.weight")
+    return dense
+
+
+def mutated_dense_check() -> Callable[[], None]:
+    """The ``nn.Dense`` check, run on a transposed-weight Dense."""
+    dense = transposed_dense(4, 7, np.random.default_rng(0))
+
+    def check() -> None:
+        checked_call(dense, "__call__", Tensor(np.zeros((PROBE_BATCH, 4))))
+    return check
+
+
+def narrow_gmf_net(*args, **kwargs) -> _NeuMFNet:
+    """A NeuMF net whose GMF item table is one column narrower."""
+    net = _NeuMFNet(*args, **kwargs)
+    table = net.item_gmf
+    net.item_gmf = Embedding(table.num_embeddings, table.dim - 1,
+                             np.random.default_rng(0))
+    return net
+
+
+def wide_head_policy(space, *args, **kwargs) -> PolicyNetwork:
+    """A policy whose BPlain DNN head is one unit wider than ``|e|``."""
+    policy = PolicyNetwork(space, *args, **kwargs)
+    if isinstance(space, BPlainActionSpace):
+        policy.dnn = MLP([policy.dim, policy.dim, policy.dim + 1],
+                         np.random.default_rng(0))
+    return policy
+
+
+def narrow_pmf_ranker(name: str, *args, **kwargs):
+    """A ranker; PMF's item factors lose a column after every fit."""
+    ranker = make_ranker(name, *args, **kwargs)
+    if name == "pmf":
+        fit = ranker.fit
+
+        def narrowing_fit(log):
+            fit(log)
+            ranker.item_factors = ranker.item_factors[:, 1:]
+        ranker.fit = narrowing_fit
+    return ranker
+
+
+@dataclass(frozen=True)
+class ShapePlant:
+    """One planted shape bug, its named check and its expected anchor."""
+
+    #: The one shapecheck check the plant must fail.
+    check: str
+    #: Driver-module attribute the plant replaces, and its replacement.
+    attribute: str
+    replacement: Callable
+    #: ``(function, snippet)`` locating the line the detail must name.
+    anchor_at: Tuple[Callable, str]
+
+    def install(self, patch: pytest.MonkeyPatch,
+                drivers: ModuleType) -> None:
+        """Plant the bug into ``drivers`` for the life of ``patch``."""
+        patch.setattr(drivers, self.attribute, self.replacement)
+
+    def anchor(self) -> str:
+        """The ``file.py:N`` the failure detail must contain."""
+        return source_anchor(*self.anchor_at)
+
+
+#: One plant per shapecheck lane: an nn layer and an inner recommender
+#: net (lane 1), the policy (lane 2) and a ranker probe (lane 3).
+SHAPE_PLANTS = (
+    ShapePlant("nn.Dense", "Dense", transposed_dense,
+               (Dense.__call__, "x @ self.weight")),
+    ShapePlant("recsys.neumf.net", "_NeuMFNet", narrow_gmf_net,
+               (_NeuMFNet.logits, "self.item_gmf(items)")),
+    ShapePlant("core.policy[bplain]", "PolicyNetwork", wide_head_policy,
+               (BPlainActionSpace.step_log_probs, "dnn_out @ set_feats.T")),
+    ShapePlant("recsys.probe[pmf]", "make_ranker", narrow_pmf_ranker,
+               (PMF.score_batch, "np.einsum(")),
+)

@@ -13,14 +13,16 @@ import contextlib
 import io
 import json
 import sys
+import tokenize
 
 import pytest
 
 from repro import cli
 from repro.cli import build_parser
 from repro.devtools import lint
-from repro.devtools.check import (PROGRAM_TOOL, lint_unit, program_unit,
-                                  run_unit)
+from repro.devtools.check import (MARKERS, PACKAGE_ROOT, PROGRAM_TOOL,
+                                  lint_unit, program_unit, run_unit)
+from repro.devtools.common import suppression_pattern
 from repro.devtools.effectcheck import index as index_module
 from repro.devtools.effectcheck.index import PackageIndex
 from repro.devtools.effectcheck import summaries as summaries_module
@@ -194,3 +196,21 @@ class TestModuleRunner:
         assert payload["errors"] == []
         assert payload["checks_run"] >= 23
         assert payload["files_checked"] > 100
+
+
+class TestZeroSuppressions:
+    def test_no_suppression_comment_under_src(self):
+        # The standing constraint: every analyzer is clean on src/ with
+        # no finding silenced.  Docstrings may show the marker syntax;
+        # only comments can suppress.
+        patterns = [suppression_pattern(tool) for tool in
+                    ("graphlint", *sorted(set(MARKERS.values())))]
+        offenders = []
+        for path in sorted(PACKAGE_ROOT.rglob("*.py")):
+            with tokenize.open(path) as handle:
+                for token in tokenize.generate_tokens(handle.readline):
+                    if token.type == tokenize.COMMENT and any(
+                            pattern.search(token.string)
+                            for pattern in patterns):
+                        offenders.append(f"{path}:{token.start[0]}")
+        assert offenders == []

@@ -1,12 +1,15 @@
 """Shared gradcheck utility tests, including recommender-loss coverage."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import repro.nn
 from repro.devtools.gradcheck import (GradcheckError, gradcheck,
                                       gradcheck_param, numeric_gradient)
-from repro.devtools.shapecheck import SYMBOLIC_OP_NAMES
 from repro.nn import Embedding, Tensor, concatenate, stack
 from repro.nn import functional as F
 
@@ -82,10 +85,10 @@ _PARITY_W = np.linspace(-0.4, 0.7, 10).reshape(5, 2)
 _PARITY_SPARSE = sp.csr_matrix(np.arange(12, dtype=float).reshape(4, 3) * 0.1)
 _PARITY_TARGETS = np.linspace(0.1, 0.9, 15).reshape(3, 5)
 
-#: One numeric gradient check per op the shapecheck tracer models
-#: (``repro.devtools.shapecheck.SYMBOLIC_OP_NAMES``) — the parity test
-#: below fails when a new traced op lands without gradient coverage.
-SYMBOLIC_OP_GRADCHECKS = {
+#: One numeric gradient check per autograd op of the engine, plus the
+#: composite ``sub``/``mean``/``mse_loss`` — the parity test below fails
+#: when a new op with a ``backward`` closure lands without an entry.
+ENGINE_OP_GRADCHECKS = {
     "exp": lambda x: F.exp(x),
     "log": lambda x: F.log(F.exp(x)),
     "sqrt": lambda x: F.sqrt(F.exp(x)),
@@ -123,15 +126,43 @@ SYMBOLIC_OP_GRADCHECKS = {
 }
 
 
+#: Dunder methods whose op name is not the dunder's stem.
+_OP_ALIASES = {"truediv": "div"}
+
+
+def engine_backward_ops():
+    """Every function or method in the engine defining a ``backward``.
+
+    Walks ``repro/nn/tensor.py`` and ``functional.py``; names come back
+    normalized to the gradcheck keys (``Tensor.__truediv__`` -> ``div``).
+    """
+    package = Path(repro.nn.__file__).parent
+    ops = set()
+    for filename in ("tensor.py", "functional.py"):
+        tree = ast.parse((package / filename).read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            if any(isinstance(child, ast.FunctionDef)
+                   and child.name == "backward" for child in node.body):
+                name = node.name.strip("_")
+                ops.add(_OP_ALIASES.get(name, name))
+    return ops
+
+
 class TestSymbolicOpParity:
-    """Every op the shapecheck tracer models has gradient coverage."""
+    """Every autograd op of the engine has gradient coverage."""
 
-    def test_covers_every_symbolic_op(self):
-        assert set(SYMBOLIC_OP_GRADCHECKS) == set(SYMBOLIC_OP_NAMES)
+    def test_covers_every_backward_op(self):
+        ops = engine_backward_ops()
+        assert len(ops) >= 28
+        assert {"add", "div", "matmul", "exp", "spmm"} <= ops
+        assert ops <= set(ENGINE_OP_GRADCHECKS), \
+            sorted(ops - set(ENGINE_OP_GRADCHECKS))
 
-    @pytest.mark.parametrize("name", sorted(SYMBOLIC_OP_GRADCHECKS))
+    @pytest.mark.parametrize("name", sorted(ENGINE_OP_GRADCHECKS))
     def test_gradcheck(self, name):
-        gradcheck(SYMBOLIC_OP_GRADCHECKS[name], _PARITY_X0.copy())
+        gradcheck(ENGINE_OP_GRADCHECKS[name], _PARITY_X0.copy())
 
 
 class TestBPRLossEndToEnd:
