@@ -253,16 +253,15 @@ def cmd_attack(args: argparse.Namespace) -> int:
         obs = RunTelemetry(args.obs_log) if args.obs_log else None
         if obs is not None:
             system.tracer = obs.tracer
-        pool = None
+        pool = QueryPool(attack_env, workers=args.workers)
         if args.workers > 1:
-            pool = QueryPool(attack_env, workers=args.workers)
             mode = "parallel" if pool.parallel else "serial fallback"
             print(f"query pool: {args.workers} workers ({mode})")
-            if obs is not None:
-                # Workers fork with a reset copy of the tracer (at the
-                # first batch) and ship their query spans back.
-                pool.tracer = obs.tracer
-                pool.metrics = obs.metrics
+        if obs is not None:
+            # Workers fork with a reset copy of the tracer (at the first
+            # batch) and ship their query spans back.
+            pool.tracer = obs.tracer
+            pool.metrics = obs.metrics
         agent = PoisonRec(attack_env, scale.config(seed=args.seed),
                           action_space=args.action_space, query_pool=pool,
                           obs=obs)
@@ -286,12 +285,11 @@ def cmd_attack(args: argparse.Namespace) -> int:
                     if resilience is not None else "")),
                 resilience=resilience, resume_from=resume_from)
         finally:
-            if pool is not None:
-                pool.close()
+            pool.close()
             if obs is not None:
                 obs.close()
         print(f"poisonrec best RecNum: {agent.result.best_reward:.0f}")
-        if pool is not None and pool.crashes:
+        if pool.crashes:
             print(f"query pool: healed {pool.crashes} worker crash(es), "
                   f"{pool.serial_fallbacks} serial fallback(s)")
         if resilience is not None:

@@ -18,17 +18,19 @@ bit-identically — same seed, same trajectory as an uninterrupted run.
 Each step samples all ``M`` rollouts up front and then observes their
 rewards as one batch, so the queries can be fanned out over a
 :class:`~repro.perf.pool.QueryPool` of forked system replicas without
-changing a single observed number (see :mod:`repro.perf`).
+changing a single observed number (see :mod:`repro.perf`).  Without a
+pool each query runs through the same in-process executor the pool
+uses, :func:`~repro.perf.pool.run_query`.
 
 Attaching a :class:`~repro.obs.run.RunTelemetry` to :attr:`PoisonRec.obs`
 traces the hot path (``train_step`` → ``sample`` / ``query_batch`` /
 ``ppo_update``) and counts queries/retries/quarantines in the metrics
 registry.  The per-query spans come from the system itself: whoever
-builds it hangs the same tracer on ``system.tracer``, so serial queries
-nest under ``query_batch`` and pooled ones under the pool's
-``pool.batch``.  Tracing reads the monotonic clock only, so an
-instrumented campaign's ``TrainResult.history`` is bit-identical to the
-untraced run.
+builds it hangs the same tracer on ``system.tracer``, so an agent
+without a pool nests its queries under ``query_batch`` and one with a
+traced pool under the pool's ``pool.batch``.  Tracing reads the
+monotonic clock only, so an instrumented campaign's
+``TrainResult.history`` is bit-identical to the untraced run.
 """
 
 from __future__ import annotations
@@ -36,19 +38,17 @@ from __future__ import annotations
 import dataclasses
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
 from ..effects import sanctioned_channel
 from ..nn.anomaly import AnomalyError, detect_anomaly
-from ..perf.pool import QueryOutcome, QueryPool
+from ..perf.pool import QueryOutcome, QueryPool, run_query
 from ..recsys.system import BlackBoxEnvironment
 from ..runtime.checkpoint import PathLike, load_campaign, save_campaign
-from ..runtime.errors import (CampaignDivergenceError, CorruptRewardError,
-                              RetriesExhaustedError)
+from ..runtime.errors import CampaignDivergenceError
 from ..runtime.resilience import CampaignState, ResilienceConfig
-from ..runtime.retry import call_with_retry
 from ..runtime.watchdog import RunningMoments
 from .action_space import ActionSpace, make_action_space
 from .config import PoisonRecConfig
@@ -238,56 +238,27 @@ class PoisonRec:
     # ------------------------------------------------------------------
     # Training
     # ------------------------------------------------------------------
-    def _query(self, trajectories: List[List[int]],
-               state: Optional[CampaignState]) -> Tuple[float, int]:
-        """One black-box reward query; returns ``(reward, retries)``.
-
-        With resilience enabled the query runs under the retry policy
-        and non-finite RecNum readings are rejected as
-        :class:`CorruptRewardError` (and therefore retried).
-        """
-        if state is None:
-            return float(self.env.attack(trajectories)), 0
-
-        def attempt() -> float:
-            reward = float(self.env.attack(trajectories))
-            if not np.isfinite(reward):
-                raise CorruptRewardError(
-                    f"environment returned non-finite RecNum {reward!r}")
-            return reward
-
-        outcome = call_with_retry(attempt, state.config.retry, rng=state.rng,
-                                  sleep=state.config.sleep)
-        return outcome.value, outcome.retries
-
     def _query_batch(self, rollouts: List[Rollout],
                      state: Optional[CampaignState]) -> List[QueryOutcome]:
-        """Observe one reward per rollout, serially or through the pool.
+        """Observe one reward per rollout, through the pool if one is set.
 
-        Queries are pure functions of their trajectories (the system
-        restores its full clean state — parameters and RNG — before each
-        one), so batching them after sampling is bit-identical to the
-        historical sample-query interleaving: sampling consumes only the
-        agent RNG and querying consumes none.
+        Without a pool each query runs through
+        :func:`~repro.perf.pool.run_query`, the same in-process executor
+        the pool uses.  Queries are pure functions of their trajectories
+        (the system restores its full clean state — parameters and RNG —
+        before each one), so batching them after sampling is
+        bit-identical to the historical sample-query interleaving:
+        sampling consumes only the agent RNG and querying consumes none.
         """
+        trajectory_sets = [rollout.trajectories() for rollout in rollouts]
+        retry, rng, sleep = ((state.config.retry, state.rng,
+                              state.config.sleep)
+                             if state is not None else (None, None, None))
         if self.query_pool is not None:
             return self.query_pool.attack_many(
-                [rollout.trajectories() for rollout in rollouts],
-                retry=state.config.retry if state is not None else None,
-                rng=state.rng if state is not None else None,
-                sleep=state.config.sleep if state is not None else None)
-        outcomes: List[QueryOutcome] = []
-        for rollout in rollouts:
-            try:
-                reward, attempts = self._query(rollout.trajectories(), state)
-            except RetriesExhaustedError as error:
-                outcomes.append(QueryOutcome(
-                    reward=None, retries=max(error.attempts - 1, 0),
-                    error=error))
-            else:
-                outcomes.append(QueryOutcome(reward=reward,
-                                             retries=attempts))
-        return outcomes
+                trajectory_sets, retry=retry, rng=rng, sleep=sleep)
+        return [run_query(self.env, trajectories, retry, rng, sleep)
+                for trajectories in trajectory_sets]
 
     def _record_queries(self, outcomes: List[QueryOutcome]) -> None:
         """Count queries, retries and quarantines in the metrics."""
@@ -347,9 +318,6 @@ class PoisonRec:
             max_reward=float(np.max(rewards)) if rewards else float("nan"),
             losses=losses, retries=retries, quarantined=quarantined,
             rollbacks=state.rollbacks if state is not None else 0)
-        if state is not None:
-            state.total_retries += retries
-            state.total_quarantined += quarantined
         self.result.history.append(stats)
         self._step += 1
         return stats
@@ -439,10 +407,13 @@ class PoisonRec:
 
     # ------------------------------------------------------------------
     def evaluate(self, num_samples: int = 4) -> float:
-        """Mean RecNum of attacks sampled from the current policy."""
-        rewards = [self._query(self.sample_attack().trajectories(), None)[0]
-                   for _ in range(num_samples)]
-        return float(np.mean(rewards))
+        """Mean RecNum of attacks sampled from the current policy.
+
+        The queries go through :attr:`query_pool` when one is set.
+        """
+        rollouts = [self.sample_attack() for _ in range(num_samples)]
+        outcomes = self._query_batch(rollouts, None)
+        return float(np.mean([outcome.reward for outcome in outcomes]))
 
     def target_click_ratio(self, num_samples: int = 8) -> float:
         """Fraction of sampled clicks that land on target items (Figure 5)."""

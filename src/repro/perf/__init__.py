@@ -10,10 +10,15 @@ single observed reward:
   worker-measured seconds of its query, and a traced pool grafts the
   workers' restore / merge / retrain / score spans into the parent's
   trace (see :mod:`repro.perf.pool`).
+* :func:`~repro.perf.pool.run_query` — the one in-process executor:
+  retry, the non-finite-RecNum guard and quarantine for every query
+  that runs in the calling process, pool fallbacks and pool-less
+  agents alike.
 
-See ``docs/performance.md`` for the measurement methodology,
-``docs/observability.md`` for the tracing/metrics hooks, and
-``benchmarks/bench_query_throughput.py`` for the throughput harness.
+See ``docs/performance.md`` for the design and ``docs/observability.md``
+for the tracing/metrics hooks.  The campaign benchmark ``perfbench/``
+(declared in ``BENCHMARK.json``) measures queries/sec, the per-query
+phase split and the pool's speedup.
 """
 
 from .pool import QueryOutcome, QueryPool, WorkerCrashError

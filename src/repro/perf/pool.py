@@ -10,7 +10,7 @@ queries can fan out across processes and return bit-identical rewards.
 :class:`QueryPool` implements that fan-out:
 
 * ``workers=1`` (the default) never spawns a process: queries run
-  in-process, exactly as the plain serial loop.
+  in-process through :func:`run_query`.
 * ``workers>1`` forks worker processes, each holding a copy-on-write
   replica of the :class:`~repro.recsys.system.RecommenderSystem`
   (inherited via ``fork``, so no pickling and no duplicate fit).
@@ -33,12 +33,13 @@ A crashed worker is a *transient* event, not a lost step: the pool
 reaps the dead process, forks a replacement, and re-issues the query
 (counted in :attr:`QueryOutcome.retries`, like any other transient
 retry).  A query that keeps killing workers falls back to in-process
-execution so the underlying error surfaces exactly as it would
-serially.  Typed :class:`~repro.runtime.errors.TransientEnvironmentError`
-failures raised inside a worker honor the caller's
+execution through :func:`run_query` so the underlying error surfaces
+exactly as it would serially.  Typed
+:class:`~repro.runtime.errors.TransientEnvironmentError` failures raised
+inside a worker honor the caller's
 :class:`~repro.runtime.retry.RetryPolicy` — exhausted retries become a
 quarantinable :class:`~repro.runtime.errors.RetriesExhaustedError`
-outcome, mirroring ``repro.runtime``'s serial retry/quarantine path.
+outcome, exactly as :func:`run_query` reports them in-process.
 If worker processes cannot be (re)spawned at all, the pool degrades
 permanently to serial mode rather than failing the campaign.
 
@@ -53,7 +54,7 @@ Three refinements keep pooled chaos campaigns bit-identical to serial:
   the serial wrapper's would;
 * when a retry policy is supplied, non-finite rewards are rejected as
   :class:`~repro.runtime.errors.CorruptRewardError` and retried — the
-  same guard ``PoisonRec`` applies on its serial path.
+  same guard :func:`run_query` applies in-process.
 
 ``stall_timeout`` arms a heartbeat: a worker that holds one query
 longer than the deadline is presumed hung, killed, and its query
@@ -67,7 +68,9 @@ Observability
 Every worker reply carries the query's wall-clock seconds, measured
 inside the worker (:attr:`QueryOutcome.seconds`).  Hanging a
 :class:`~repro.obs.trace.Tracer` on :attr:`QueryPool.tracer` wraps each
-batch in a ``pool.batch`` span.  Workers fork with that tracer and
+batch in a ``pool.batch`` span (``tier="serial"`` for a one-worker
+pool, whose in-process ``query`` spans nest under it directly).
+Workers fork with that tracer and
 :meth:`~repro.obs.trace.Tracer.reset` their copy (no sink, no spans,
 ``proc="worker-<slot>"``); when the same tracer hangs on the system as
 ``system.tracer``, each reply also carries the span records of the
@@ -124,6 +127,48 @@ class QueryOutcome:
     error: Optional[Exception] = None
     seconds: Optional[float] = None
     pooled: bool = False
+
+
+def run_query(system, trajectories, retry: Optional[RetryPolicy] = None,
+              rng: Optional[np.random.Generator] = None,
+              sleep: Optional[Callable[[float], None]] = None,
+              base_retries: int = 0) -> QueryOutcome:
+    """Execute one black-box query in-process: the one in-process executor.
+
+    Every query that runs in the calling process goes through here —
+    :class:`QueryPool`'s serial mode, its crash-loop and broken-pool
+    fallbacks, and :class:`~repro.core.agent.PoisonRec` without a pool
+    — so retry, the non-finite-RecNum guard and quarantine behave the
+    same wherever a query runs.
+
+    Without a ``retry`` policy the attempt runs once and any error
+    propagates.  With one, ``system.attack`` runs under
+    :func:`~repro.runtime.retry.call_with_retry`, a non-finite RecNum is
+    rejected as a retryable
+    :class:`~repro.runtime.errors.CorruptRewardError`, and exhausted
+    retries come back as a quarantined outcome (``reward=None``) rather
+    than an exception.  ``base_retries`` adds failures absorbed before
+    the query reached this executor (a pool's worker crashes).
+    """
+    def attempt() -> float:
+        reward = float(system.attack(trajectories))
+        if retry is not None and not np.isfinite(reward):
+            # A garbage RecNum reading is a retryable fault, not data.
+            raise CorruptRewardError(
+                f"environment returned non-finite RecNum {reward!r}")
+        return reward
+
+    if retry is None:
+        return QueryOutcome(reward=attempt(), retries=base_retries)
+    try:
+        outcome = call_with_retry(attempt, retry, rng=rng, sleep=sleep)
+    except RetriesExhaustedError as error:
+        return QueryOutcome(
+            reward=None,
+            retries=base_retries + max(error.attempts - 1, 0),
+            error=error)
+    return QueryOutcome(reward=outcome.value,
+                        retries=base_retries + outcome.retries)
 
 
 def _payload(tracer, began: float):
@@ -205,10 +250,12 @@ class QueryPool:
     system:
         The recommender system (or any object with a compatible
         ``attack(trajectories) -> number`` method) to replicate.  The
-        parent's instance is also the serial-fallback executor.
+        parent's instance serves every in-process query (serial mode
+        and the fallbacks) through :func:`run_query`.
     workers:
-        Worker process count.  ``1`` runs everything in-process (no
-        multiprocessing at all); higher values fork that many replicas.
+        Worker process count.  ``1`` runs everything in-process through
+        :func:`run_query` (no multiprocessing at all); higher values
+        fork that many replicas.
     crash_retries:
         How many times one query may be re-issued after killing a worker
         before the pool executes it in-process to surface the real error.
@@ -353,30 +400,6 @@ class QueryPool:
             return nullcontext()
         return self.tracer.span(name, **attrs)
 
-    def _serial_outcome(self, trajectories, retry: Optional[RetryPolicy],
-                        rng, sleep, base_retries: int = 0) -> QueryOutcome:
-        """Execute one query in-process under the caller's retry policy."""
-        def attempt() -> float:
-            reward = float(self.system.attack(trajectories))
-            if retry is not None and not np.isfinite(reward):
-                # Same guard PoisonRec applies on its serial path: a
-                # garbage RecNum reading is a retryable fault, not data.
-                raise CorruptRewardError(
-                    f"environment returned non-finite RecNum {reward!r}")
-            return reward
-
-        if retry is None:
-            return QueryOutcome(reward=attempt(), retries=base_retries)
-        try:
-            outcome = call_with_retry(attempt, retry, rng=rng, sleep=sleep)
-        except RetriesExhaustedError as error:
-            return QueryOutcome(
-                reward=None,
-                retries=base_retries + max(error.attempts - 1, 0),
-                error=error)
-        return QueryOutcome(reward=outcome.value,
-                            retries=base_retries + outcome.retries)
-
     def attack_many(self, trajectory_sets: Sequence[Sequence[Sequence[int]]],
                     retry: Optional[RetryPolicy] = None,
                     rng: Optional[np.random.Generator] = None,
@@ -397,8 +420,8 @@ class QueryPool:
         if not self.parallel or self.broken:
             with self._span("pool.batch", batch=len(trajectory_sets),
                             tier="serial"):
-                return [self._serial_outcome(trajectories, retry, rng,
-                                             sleep)
+                return [run_query(self.system, trajectories, retry, rng,
+                                  sleep)
                         for trajectories in trajectory_sets]
         with self._span("pool.batch", batch=len(trajectory_sets),
                         tier="pooled", workers=self.workers):
@@ -462,8 +485,8 @@ class QueryPool:
                 # A query that keeps killing workers runs in-process so
                 # the real failure surfaces as it would serially.
                 self._note_fallback()
-                results[index] = self._serial_outcome(
-                    tasks[index], retry, rng, sleep,
+                results[index] = run_query(
+                    self.system, tasks[index], retry, rng, sleep,
                     base_retries=failures[index] + crashes[index])
             else:
                 pending.insert(0, index)
@@ -507,8 +530,8 @@ class QueryPool:
                     while pending:
                         index = pending.pop(0)
                         self._note_fallback()
-                        results[index] = self._serial_outcome(
-                            tasks[index], retry, rng, sleep,
+                        results[index] = run_query(
+                            self.system, tasks[index], retry, rng, sleep,
                             base_retries=failures[index] + crashes[index])
                 continue
             conn_to_slot = {self._conns[slot]: slot for slot in busy}
@@ -586,7 +609,7 @@ class QueryPool:
         Updates the pool's wall-clock counters and optional metrics, and
         grafts the shipped span records under the open ``pool.batch``
         span.  Failed attempts ship payloads too, keeping parity with
-        the serial path, where a raising attempt still closes its spans.
+        the in-process path, where a raising attempt still closes its spans.
         """
         seconds, records = payload
         self.pooled_queries += 1

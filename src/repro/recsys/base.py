@@ -10,7 +10,6 @@ selection and the poison/retrain loop; rankers only implement ``fit`` /
 from __future__ import annotations
 
 import abc
-import copy
 from typing import Any, ClassVar, Iterator, Optional
 
 import numpy as np
@@ -129,19 +128,14 @@ class Ranker(abc.ABC):
 
     @mutates("*")
     @sanctioned_channel
-    def restore(self, state: Any) -> None:
+    def restore(self, state: RankerSnapshot) -> None:
         """Restore a state captured by :meth:`snapshot`.
 
-        Snapshot restores are copy-on-write: frozen arrays are copied in
-        place into the live buffers (no allocation).  Raw states (the
-        pre-snapshot legacy form: whatever ``_state`` returned) are still
-        accepted and deep-copied defensively.
+        Restores are copy-on-write: frozen arrays are copied in place
+        into the live buffers (no allocation).
         """
-        if isinstance(state, RankerSnapshot):
-            self._set_state(thaw_into(state.state, self._state()))
-            self.rng.bit_generator.state = state.rng_state
-        else:
-            self._set_state(copy.deepcopy(state))
+        self._set_state(thaw_into(state.state, self._state()))
+        self.rng.bit_generator.state = state.rng_state
 
     def _state(self) -> Any:
         raise NotImplementedError(

@@ -76,18 +76,8 @@ class CandidateGenerator(abc.ABC):
         return self.num_original_candidates + len(self.target_items)
 
     @abc.abstractmethod
-    def _original_candidates(self, row: int) -> np.ndarray:
-        """The original-item part of one user's candidate set."""
-
     def _original_candidates_batch(self, num_users: int) -> np.ndarray:
-        """All rows' originals at once, shape ``(num_users, k)``.
-
-        Default stacks the per-row hook; the built-in generators
-        override this with fully vectorized samplers.
-        """
-        return np.stack([np.asarray(self._original_candidates(row),
-                                    dtype=np.int64)
-                         for row in range(num_users)])
+        """All rows' originals at once, shape ``(num_users, k)``."""
 
     def generate(self, num_users: int) -> np.ndarray:
         """Candidate matrix of shape ``(num_users, candidate_size)``.
@@ -117,11 +107,6 @@ class CandidateGenerator(abc.ABC):
 class RandomCandidateGenerator(CandidateGenerator):
     """The paper's protocol: uniform random originals per user."""
 
-    def _original_candidates(self, row: int) -> np.ndarray:
-        return self.rng.choice(self.num_original_items,
-                               size=self.num_original_candidates,
-                               replace=False)
-
     def _original_candidates_batch(self, num_users: int) -> np.ndarray:
         return _sample_without_replacement(self.rng,
                                            self.num_original_items,
@@ -150,16 +135,6 @@ class PopularityCandidateGenerator(CandidateGenerator):
         order = np.argsort(-popularity, kind="stable")
         self.head = order[:head_size].astype(np.int64)
         self.tail_pool = order[head_size:].astype(np.int64)
-
-    def _original_candidates(self, row: int) -> np.ndarray:
-        tail_size = self.num_original_candidates - len(self.head)
-        if tail_size <= 0 or len(self.tail_pool) == 0:
-            return self.head[:self.num_original_candidates]
-        tail = self.rng.choice(self.tail_pool,
-                               size=min(tail_size, len(self.tail_pool)),
-                               replace=False)
-        originals = np.concatenate([self.head, tail])
-        return originals[:self.num_original_candidates]
 
     def _original_candidates_batch(self, num_users: int) -> np.ndarray:
         tail_size = self.num_original_candidates - len(self.head)
@@ -205,19 +180,6 @@ class ModelCandidateGenerator(CandidateGenerator):
         """Recompute retrieval scores from updated tower factors."""
         self._scores = (user_factors[self.user_ids]
                         @ item_factors[:self.num_original_items].T)
-
-    def _original_candidates(self, row: int) -> np.ndarray:
-        count = self.num_original_candidates
-        explore = int(round(count * self.exploration_fraction))
-        retrieve = count - explore
-        order = np.argsort(-self._scores[row], kind="stable")
-        head = order[:retrieve].astype(np.int64)
-        if explore > 0:
-            pool = np.setdiff1d(np.arange(self.num_original_items), head)
-            extra = self.rng.choice(pool, size=min(explore, len(pool)),
-                                    replace=False)
-            head = np.concatenate([head, extra])
-        return head[:count]
 
     def _original_candidates_batch(self, num_users: int) -> np.ndarray:
         count = self.num_original_candidates

@@ -57,11 +57,6 @@ class RecommenderSystem:
     eval_user_sample:
         Optionally evaluate RecNum over a fixed random subset of users
         instead of all of them (speeds up large runs; None = all users).
-    incremental:
-        Use a ranker's O(|poison|) ``poison_revert`` delta instead of a
-        full snapshot restore where supported (ItemPop, CoVisitation).
-        The revert is bit-exact, so results are identical either way;
-        disable only to benchmark the full-restore path.
     verify_incremental:
         After every incremental revert, assert the ranker state matches
         the clean snapshot exactly (raises
@@ -76,7 +71,6 @@ class RecommenderSystem:
                  seed: int = 0, ranker_kwargs: Optional[dict] = None,
                  eval_user_sample: Optional[int] = None,
                  candidate_generator: str | CandidateGenerator = "random",
-                 incremental: bool = True,
                  verify_incremental: bool = False) -> None:
         if num_targets <= 0:
             raise ValueError("num_targets must be positive")
@@ -118,7 +112,6 @@ class RecommenderSystem:
         # Pre-built merged-log skeleton: poison rows are spliced in and
         # out of this copy each query instead of re-copying the clean log.
         self._merged_skeleton = self.clean_log.copy()
-        self.incremental = incremental
         self.verify_incremental = verify_incremental
         #: Optional :class:`repro.obs.Tracer`: each attack then records
         #: one ``query`` span around its :data:`QUERY_PHASES` spans.
@@ -238,7 +231,7 @@ class RecommenderSystem:
         if not self._poisoned and not force:
             return
         poison = self._active_poison
-        if (not force and self.incremental and poison is not None
+        if (not force and poison is not None
                 and self.ranker.supports_incremental_revert):
             self.ranker.poison_revert(poison)
             if self.verify_incremental:

@@ -83,8 +83,6 @@ class CampaignState:
         self.rng = np.random.default_rng(config.jitter_seed)
         self.rollbacks = 0
         self.decays_since_checkpoint = 0
-        self.total_retries = 0
-        self.total_quarantined = 0
 
     def checkpoint_due(self, step: int) -> bool:
         """Whether a checkpoint should be written after ``step`` steps."""

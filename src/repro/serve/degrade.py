@@ -9,16 +9,17 @@ The fleet serves campaigns in one of three tiers:
     suffered a crash storm; reduction repeats (4 → 2) while at least
     ``min_workers`` remain.
 ``serial``
-    No pool at all — every campaign queries its environment in-process.
-    The fleet is slower but still *correct* (the pool's bit-exact
+    A one-worker pool that forks nothing — every campaign's queries run
+    in-process through the same executor the pool's fallbacks use.  The
+    fleet is slower but still *correct* (the pool's bit-exact
     equivalence guarantee means results are identical in every tier).
 
 :class:`DegradationController` owns the tier state machine.  The
 scheduler calls :meth:`assess` after every slice with the live pool;
-a downgrade decision tells the scheduler to rebuild (or drop) the pool
-before the next slice.  Degradation is one-way by design: a fleet that
-has already proven itself unstable is not promoted back mid-run —
-predictable behavior under faults beats opportunistic speed.
+a downgrade decision tells the scheduler to rebuild the pool at the new
+worker count before the next slice.  Degradation is one-way by design:
+a fleet that has already proven itself unstable is not promoted back
+mid-run — predictable behavior under faults beats opportunistic speed.
 """
 
 from __future__ import annotations
@@ -71,10 +72,10 @@ class DegradationController:
         """Inspect the live pool; returns the new tier on a downgrade.
 
         ``None`` means the current tier stands.  After a downgrade the
-        caller must rebuild the pool at :attr:`workers` workers (or drop
-        it entirely at the ``serial`` tier) before the next slice.
+        caller must rebuild the pool at :attr:`workers` workers (one at
+        the ``serial`` tier) before the next slice.
         """
-        if self.serial or pool is None:
+        if self.serial:
             return None
         fresh_crashes = pool.crashes - self._seen_crashes
         self._seen_crashes = pool.crashes

@@ -20,8 +20,8 @@ Robustness is layered on end to end:
   with exponential backoff, fatal trouble quarantines it to ``FAILED``
   without touching siblings;
 * the fleet degrades gracefully (:mod:`repro.serve.degrade`): a broken
-  or crash-storming pool is rebuilt smaller, and ultimately dropped for
-  in-process serial execution — identical results, reduced throughput;
+  or crash-storming pool is rebuilt smaller, and ultimately with one
+  in-process worker — identical results, reduced throughput;
 * SIGTERM/SIGINT drain cooperatively: in-flight queries finish, every
   campaign checkpoints, the journal records the drain, exit code 0.
 
@@ -106,7 +106,7 @@ class CampaignScheduler:
         campaign's checkpoint (``<name>.npz``) live here.
     workers:
         Worker fleet size at the healthy (``pooled``) tier; ``1`` runs
-        the whole fleet in-process.
+        the whole fleet in-process through a one-worker pool.
     slice_steps:
         Training steps one campaign runs per scheduling turn.  Smaller
         slices interleave campaigns more finely and checkpoint more
@@ -255,7 +255,7 @@ class CampaignScheduler:
                 self._complete(record)
 
     def _ensure_pool(self) -> None:
-        if self.degradation.serial or self._pool is not None:
+        if self._pool is not None:
             return
         self._pool = QueryPool(self.router,
                                workers=self.degradation.workers,
@@ -334,9 +334,7 @@ class CampaignScheduler:
         earliest.backoff_until = 0.0
         return True
 
-    def _client(self, record: CampaignRecord):
-        if self._pool is None:
-            return None
+    def _client(self, record: CampaignRecord) -> CampaignQueryClient:
         if record.client is None or record.client.pool is not self._pool:
             record.client = CampaignQueryClient(self._pool, record.spec.name)
         return record.client

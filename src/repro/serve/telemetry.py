@@ -41,8 +41,6 @@ class CampaignTelemetry:
     retries: int = 0
     quarantined: int = 0
     best_reward: float = float("-inf")
-    last_mean: float = float("nan")
-    last_max: float = float("nan")
     restarts: int = 0
 
 
@@ -84,8 +82,6 @@ class FleetTelemetry:
         entry.steps += 1
         entry.retries += stats.retries
         entry.quarantined += stats.quarantined
-        entry.last_mean = stats.mean_reward
-        entry.last_max = stats.max_reward
         if stats.max_reward > entry.best_reward:
             entry.best_reward = stats.max_reward
         self.metrics.counter("fleet.steps", campaign=name).inc()

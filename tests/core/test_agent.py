@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import PoisonRec, PoisonRecConfig
+from repro.perf import QueryPool
 
 
 class TestConfig:
@@ -99,6 +100,24 @@ class TestAgent:
         agent = self.make_agent(itempop_env)
         value = agent.evaluate(num_samples=2)
         assert value >= 0.0
+
+    def test_evaluate_dispatches_through_pool(self, itempop_env):
+        pool = QueryPool(itempop_env, workers=1)
+        batches = []
+        dispatch = pool.attack_many
+
+        def spy(trajectory_sets, **kwargs):
+            batches.append(len(trajectory_sets))
+            return dispatch(trajectory_sets, **kwargs)
+
+        pool.attack_many = spy
+        pooled = self.make_agent(itempop_env)
+        pooled.query_pool = pool
+        value = pooled.evaluate(num_samples=3)
+        assert batches == [3]
+        # Same seed without a pool: the same sampled attacks, the same
+        # rewards.
+        assert value == self.make_agent(itempop_env).evaluate(num_samples=3)
 
     def test_greedy_attack_is_deterministic(self, itempop_env):
         agent = self.make_agent(itempop_env)

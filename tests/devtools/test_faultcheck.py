@@ -178,9 +178,9 @@ class TestRaisePropagation:
         assert any(fact.chain for fact in budget)
 
     def test_handled_raises_are_subtracted(self, clean_program):
-        # RetriesExhaustedError is caught on-path (the campaign loop
-        # quarantines the sample; _serial_outcome absorbs it for the
-        # pool), so neither entry may propagate it.
+        # RetriesExhaustedError is caught on-path (run_query turns it
+        # into a quarantined outcome for the agent and the pool alike),
+        # so neither entry may propagate it.
         ctx = FaultContext.build(clean_program.index,
                                  clean_program.summaries)
         for suffix in ("PoisonRec.train", "QueryPool.attack_many"):

@@ -32,17 +32,23 @@ def attack_batch(system, seed=0, count=6):
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("ranker", ["itempop", "covisitation"])
 def test_incremental_matches_full_restore(dataset, ranker):
-    fast = RecommenderSystem(dataset, ranker, seed=0, num_attackers=8,
-                             incremental=True)
-    slow = RecommenderSystem(dataset, ranker, seed=0, num_attackers=8,
-                             incremental=False)
+    fast = RecommenderSystem(dataset, ranker, seed=0, num_attackers=8)
+    slow = RecommenderSystem(dataset, ranker, seed=0, num_attackers=8)
     assert fast.ranker.supports_incremental_revert
+
+    def full_restore_attack(trajectories):
+        # The same round as attack(), but the reload always takes the
+        # full snapshot restore instead of the incremental revert.
+        slow.reset(force=True)
+        slow.inject(trajectories)
+        return slow.recnum()
+
     for trajectories in attack_batch(fast):
-        assert fast.attack(trajectories) == slow.attack(trajectories)
+        assert fast.attack(trajectories) == full_restore_attack(trajectories)
     # After the last revert the live state must equal the clean snapshot
     # bit for bit.
     fast.reset()
-    slow.reset()
+    slow.reset(force=True)
     assert states_equal(fast.ranker._state(), fast._clean_state.state)
     assert states_equal(fast.ranker._state(), slow.ranker._state())
 
@@ -50,7 +56,7 @@ def test_incremental_matches_full_restore(dataset, ranker):
 @pytest.mark.parametrize("ranker", ["itempop", "covisitation"])
 def test_verify_incremental_mode_passes(dataset, ranker):
     system = RecommenderSystem(dataset, ranker, seed=0, num_attackers=8,
-                               incremental=True, verify_incremental=True)
+                               verify_incremental=True)
     for trajectories in attack_batch(system, seed=1):
         system.attack(trajectories)  # would raise on any revert drift
     system.reset()
@@ -59,7 +65,7 @@ def test_verify_incremental_mode_passes(dataset, ranker):
 
 def test_verify_incremental_catches_drift(dataset):
     system = RecommenderSystem(dataset, "itempop", seed=0, num_attackers=8,
-                               incremental=True, verify_incremental=True)
+                               verify_incremental=True)
     system.attack(attack_batch(system)[0])
     # Sabotage the live state: the revert can no longer reproduce the
     # clean snapshot, and verify mode must notice.
@@ -70,7 +76,7 @@ def test_verify_incremental_catches_drift(dataset):
 
 def test_stacked_injections_fall_back_to_full_restore(dataset):
     system = RecommenderSystem(dataset, "itempop", seed=0, num_attackers=8,
-                               incremental=True, verify_incremental=True)
+                               verify_incremental=True)
     batches = attack_batch(system, seed=3)
     system.inject(batches[0])
     system.inject(batches[1])  # stacked: no single revertible poison
@@ -79,8 +85,7 @@ def test_stacked_injections_fall_back_to_full_restore(dataset):
 
 
 def test_non_counting_rankers_use_full_restore(dataset):
-    system = RecommenderSystem(dataset, "bpr", seed=0, num_attackers=8,
-                               incremental=True)
+    system = RecommenderSystem(dataset, "bpr", seed=0, num_attackers=8)
     assert not system.ranker.supports_incremental_revert
     before = system.attack(attack_batch(system)[0])
     after = system.attack(attack_batch(system)[0])

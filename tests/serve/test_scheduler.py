@@ -414,6 +414,26 @@ class TestTelemetry:
         scheduler.run()  # no work left
         assert scheduler.telemetry.phase_totals() == totals
 
+    def test_serial_tier_spans_nest_under_serial_pool_batch(
+            self, tmp_path, tiny_builder):
+        """The serial tier dispatches through a one-worker pool and the
+        campaign's query client, like every other tier."""
+        obs = RunTelemetry()
+        scheduler = make_scheduler(tmp_path, tiny_builder, workers=1,
+                                   slice_steps=2, obs=obs)
+        scheduler.submit(CampaignSpec(name="a", steps=2, seed=0))
+        result = scheduler.run()
+        assert result.all_completed and result.tier == "serial"
+        spans = {span.span_id: span for span in obs.tracer.spans}
+        queries = [span for span in spans.values() if span.name == "query"]
+        assert queries
+        for query in queries:
+            batch = spans[query.parent_id]
+            assert batch.name == "pool.batch"
+            assert batch.attrs["tier"] == "serial"
+            assert batch.start <= query.start <= query.end <= batch.end
+        assert result.records["a"].client.queries == len(queries) == 8
+
     @needs_fork
     def test_pooled_phase_spans_nest_under_pool_batch(self, tmp_path,
                                                       tiny_builder):

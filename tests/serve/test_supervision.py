@@ -136,8 +136,10 @@ class TestDegradation:
         assert controller.assess(self.FakePool(crashes=1)) == "serial"
         assert controller.workers == 1
         assert controller.serial
-        # Serial is terminal: nothing further to assess.
-        assert controller.assess(None) is None
+        # Serial is terminal: even a broken one-worker pool is not
+        # assessed further.
+        assert controller.assess(self.FakePool(crashes=9,
+                                               broken=True)) is None
 
     def test_validation(self):
         with pytest.raises(ValueError):
