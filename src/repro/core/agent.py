@@ -338,7 +338,9 @@ class PoisonRec:
         resilience:
             Enables the fault-tolerant campaign loop: retry/backoff with
             sample quarantine, periodic crash-safe checkpoints, and
-            divergence rollback.  Without it the loop behaves exactly as
+            divergence rollback.  Its failure budget counts the
+            quarantines already in the (restored) history, so it spans
+            calls and resumes.  Without it the loop behaves exactly as
             the plain reproduction (and produces identical numbers).
         resume_from:
             Path of a :func:`~repro.runtime.checkpoint.save_campaign`
@@ -347,7 +349,10 @@ class PoisonRec:
         """
         if resume_from is not None:
             load_campaign(self, resume_from)
-        state = CampaignState(resilience) if resilience is not None else None
+        state = None
+        if resilience is not None:
+            state = CampaignState(resilience, quarantined=sum(
+                stats.quarantined for stats in self.result.history))
         target = self._step + steps
         while self._step < target:
             try:

@@ -76,9 +76,17 @@ Workers fork with that tracer and
 ``system.tracer``, each reply also carries the span records of the
 query (``query`` and its restore / merge / retrain / score children),
 which the parent grafts under the open ``pool.batch`` span with their
-real timestamps.  A :class:`~repro.obs.metrics.MetricsRegistry` on
-:attr:`QueryPool.metrics` counts queries, crashes, stalls and serial
-fallbacks; it stays in the parent.
+real timestamps.
+
+The pool counts only into the
+:class:`~repro.obs.metrics.MetricsRegistry` on :attr:`QueryPool.metrics`
+(its own, or the run's when a caller attaches one); it stays in the
+parent.  ``pool.queries`` counts worker replies as ``tier="pooled"``
+and in-process queries as ``tier="serial"``, ``pool.query_seconds``
+holds the worker-measured seconds of each reply, and ``pool.crashes``
+(every worker death, stalls included), ``pool.stalls`` and
+``pool.serial_fallbacks`` count the healing.  :attr:`QueryPool.crashes`
+and :attr:`QueryPool.serial_fallbacks` read those counters.
 """
 
 from __future__ import annotations
@@ -94,6 +102,8 @@ from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
+from ..obs.metrics import MetricsRegistry
+from ..recsys.system import unwrap_system
 from ..runtime.errors import (CorruptRewardError, RetriesExhaustedError,
                               TransientEnvironmentError)
 from ..runtime.faults import WorkerFaultPlan
@@ -295,26 +305,26 @@ class QueryPool:
         self._procs: List[Optional[object]] = [None] * workers
         self._conns: List[Optional[object]] = [None] * workers
         self._started = False
-        #: Worker deaths observed (crashes plus error-recycles).
-        self.crashes = 0
-        #: Queries that ended up executing in-process after the pool
-        #: could not serve them (crash loops, spawn failures).
-        self.serial_fallbacks = 0
         #: Pool gave up on parallel execution for good (spawn failure).
         self.broken = False
-        #: Worker-measured attack wall-clock absorbed from replies
-        #: (includes failed attempts; see ``_absorb``).
-        self.pooled_seconds = 0.0
-        #: Worker-executed attack attempts absorbed from replies.
-        self.pooled_queries = 0
         #: Optional :class:`~repro.obs.trace.Tracer`, set before the
         #: first batch: workers fork with a copy they reset, and the
         #: parent grafts the spans they ship back.
         self.tracer = None
-        #: Optional parent-side
-        #: :class:`~repro.obs.metrics.MetricsRegistry` for pool
-        #: counters; never shipped to workers.
-        self.metrics = None
+        #: Parent-side :class:`~repro.obs.metrics.MetricsRegistry`
+        #: holding every pool counter: the pool's own, or the run's
+        #: when a caller attaches one.
+        self.metrics = MetricsRegistry()
+
+    @property
+    def crashes(self) -> int:
+        """Worker deaths counted in :attr:`metrics` (stalls included)."""
+        return int(self.metrics.counter("pool.crashes").value)
+
+    @property
+    def serial_fallbacks(self) -> int:
+        """Queries run in-process because the pool could not serve them."""
+        return int(self.metrics.counter("pool.serial_fallbacks").value)
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -420,8 +430,7 @@ class QueryPool:
         if not self.parallel or self.broken:
             with self._span("pool.batch", batch=len(trajectory_sets),
                             tier="serial"):
-                return [run_query(self.system, trajectories, retry, rng,
-                                  sleep)
+                return [self._run_in_process(trajectories, retry, rng, sleep)
                         for trajectories in trajectory_sets]
         with self._span("pool.batch", batch=len(trajectory_sets),
                         tier="pooled", workers=self.workers):
@@ -484,10 +493,9 @@ class QueryPool:
             if crashes[index] > self.crash_retries:
                 # A query that keeps killing workers runs in-process so
                 # the real failure surfaces as it would serially.
-                self._note_fallback()
-                results[index] = run_query(
-                    self.system, tasks[index], retry, rng, sleep,
-                    base_retries=failures[index] + crashes[index])
+                results[index] = self._fall_back(
+                    tasks[index], retry, rng, sleep,
+                    failures[index] + crashes[index])
             else:
                 pending.insert(0, index)
 
@@ -529,10 +537,9 @@ class QueryPool:
                     self.broken = True
                     while pending:
                         index = pending.pop(0)
-                        self._note_fallback()
-                        results[index] = run_query(
-                            self.system, tasks[index], retry, rng, sleep,
-                            base_retries=failures[index] + crashes[index])
+                        results[index] = self._fall_back(
+                            tasks[index], retry, rng, sleep,
+                            failures[index] + crashes[index])
                 continue
             conn_to_slot = {self._conns[slot]: slot for slot in busy}
             timeout = _WAIT_TIMEOUT
@@ -547,10 +554,8 @@ class QueryPool:
                 for slot in list(busy):
                     if slot in deadlines and now >= deadlines[slot]:
                         index = drop(slot)
-                        self.crashes += 1
-                        if self.metrics is not None:
-                            self.metrics.counter("pool.stalls").inc()
-                        self._recycle(slot, kill=True)
+                        self.metrics.counter("pool.stalls").inc()
+                        self._handle_crash(slot, kill=True)
                         requeue_after_crash(index)
                 # Paranoia sweep: a worker that died without closing its
                 # pipe would otherwise hang the batch forever.
@@ -604,56 +609,43 @@ class QueryPool:
         return results
 
     def _absorb(self, payload) -> None:
-        """Fold one worker reply's timings into parent accounting.
+        """Fold one worker reply's timings into the parent's account.
 
-        Updates the pool's wall-clock counters and optional metrics, and
-        grafts the shipped span records under the open ``pool.batch``
-        span.  Failed attempts ship payloads too, keeping parity with
-        the in-process path, where a raising attempt still closes its spans.
+        Counts the reply in :attr:`metrics` and grafts the shipped span
+        records under the open ``pool.batch`` span.  Failed attempts
+        ship payloads too, keeping parity with the in-process path,
+        where a raising attempt still closes its spans.
         """
         seconds, records = payload
-        self.pooled_queries += 1
-        self.pooled_seconds += seconds
         if self.tracer is not None:
             self.tracer.graft(records)
-        if self.metrics is not None:
-            self.metrics.counter("pool.queries", tier="pooled").inc()
-            self.metrics.histogram("pool.query_seconds").observe(seconds)
+        self.metrics.counter("pool.queries", tier="pooled").inc()
+        self.metrics.histogram("pool.query_seconds").observe(seconds)
 
-    def _handle_crash(self, slot: int) -> None:
+    def _run_in_process(self, trajectories, retry, rng, sleep,
+                        base_retries: int = 0) -> QueryOutcome:
+        """One query through :func:`run_query`, counted as serial."""
+        self.metrics.counter("pool.queries", tier="serial").inc()
+        return run_query(self.system, trajectories, retry, rng, sleep,
+                         base_retries=base_retries)
+
+    def _fall_back(self, trajectories, retry, rng, sleep,
+                   base_retries: int) -> QueryOutcome:
+        """Run a query the workers could not serve in-process instead."""
+        self.metrics.counter("pool.serial_fallbacks").inc()
+        return self._run_in_process(trajectories, retry, rng, sleep,
+                                    base_retries)
+
+    def _handle_crash(self, slot: int, kill: bool = False) -> None:
         """Reap + respawn one worker, recording the death."""
-        self.crashes += 1
-        if self.metrics is not None:
-            self.metrics.counter("pool.crashes").inc()
-        self._recycle(slot)
-
-    def _note_fallback(self) -> None:
-        """Count one query the pool had to execute in-process."""
-        self.serial_fallbacks += 1
-        if self.metrics is not None:
-            self.metrics.counter("pool.serial_fallbacks").inc()
+        self.metrics.counter("pool.crashes").inc()
+        self._recycle(slot, kill=kill)
 
     def _count_query(self) -> None:
-        """Mirror a worker-side query into the parent's budget counter.
-
-        Walks the wrapper chain (``FaultyEnvironment._env``,
-        ``BlackBoxEnvironment._system``) until a writable
-        ``query_count`` is found; read-only facades delegate inward.
-        """
-        target = self.system
-        for _ in range(8):
-            if target is None:
-                return
-            if hasattr(target, "query_count"):
-                try:
-                    target.query_count += 1
-                    return
-                except AttributeError:
-                    pass
-            inner = getattr(target, "_system", None)
-            if inner is None:
-                inner = getattr(target, "_env", None)
-            target = inner
+        """Mirror a worker-side query into the parent system's counter."""
+        system = unwrap_system(self.system)
+        if hasattr(system, "query_count"):
+            system.query_count += 1
 
     def _abort(self, busy: dict) -> None:
         """Tear the pool down before propagating a fatal error.

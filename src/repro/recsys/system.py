@@ -352,3 +352,21 @@ class BlackBoxEnvironment:
     def query_count(self) -> int:
         """How many poisoning rounds this environment has served."""
         return self._system.query_count
+
+
+def unwrap_system(env):
+    """The object at the bottom of ``env``'s wrapper chain.
+
+    Wrappers keep what they wrap as ``_system``
+    (:class:`BlackBoxEnvironment`) or ``_env``
+    (:class:`~repro.runtime.faults.FaultyEnvironment`); the walk follows
+    them down to the :class:`RecommenderSystem`.  An object that wraps
+    nothing is its own bottom.
+    """
+    while True:
+        inner = getattr(env, "_system", None)
+        if inner is None:
+            inner = getattr(env, "_env", None)
+        if inner is None:
+            return env
+        env = inner

@@ -9,7 +9,8 @@ rollback + learning-rate backoff, and a hard failure budget.
 :class:`CampaignState` is the mutable state one ``train()`` call derives
 from that config — deliberately *not* checkpointed, so a rollback cannot
 erase the very counters (rollbacks performed, lr decays pending) that
-prevent rollback loops.
+prevent rollback loops.  Its failure budget starts from the quarantines
+already in the campaign's history, which *is* checkpointed.
 """
 
 from __future__ import annotations
@@ -68,14 +69,20 @@ class CampaignState:
     Lives outside the checkpointed agent state on purpose: restoring a
     checkpoint must not reset the rollback counter or the pending
     learning-rate decays, or a diverging campaign would loop forever.
+
+    ``quarantined`` seeds the failure budget with the samples the
+    campaign already lost (the quarantines in its restored history), so
+    one budget spans every ``train()`` call, restart and resume.
     """
 
-    def __init__(self, config: ResilienceConfig) -> None:
+    def __init__(self, config: ResilienceConfig,
+                 quarantined: int = 0) -> None:
         self.config = config
         self.checkpoint_path = (as_npz_path(config.checkpoint_path)
                                 if config.checkpoint_path is not None
                                 else None)
-        self.budget = FailureBudget(config.failure_budget)
+        self.budget = FailureBudget(config.failure_budget,
+                                    consumed=quarantined)
         self.watchdog = (DivergenceWatchdog(config.watchdog)
                          if config.watchdog is not None else None)
         #: Jitter/backoff randomness, deliberately separate from the

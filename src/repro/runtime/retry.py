@@ -107,14 +107,15 @@ class FailureBudget:
     Each quarantined sample (a query whose retries were all exhausted)
     spends one unit; exceeding ``limit`` raises
     :class:`FailureBudgetExhausted`, turning a silently degrading
-    campaign into a loud, typed stop.
+    campaign into a loud, typed stop.  ``consumed`` carries units
+    already spent, e.g. by a campaign's earlier runs.
     """
 
-    def __init__(self, limit: int) -> None:
+    def __init__(self, limit: int, consumed: int = 0) -> None:
         if limit < 0:
             raise ValueError("failure budget must be non-negative")
         self.limit = limit
-        self.consumed = 0
+        self.consumed = consumed
 
     @property
     def remaining(self) -> int:

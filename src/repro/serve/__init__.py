@@ -18,7 +18,7 @@ from .scheduler import CampaignScheduler, FleetResult, default_builder
 from .supervision import (FATAL_ERRORS, HOST_ERRORS, RESTARTABLE_ERRORS,
                           CampaignSupervisor, DrainController,
                           DrainRequested, RestartPolicy)
-from .telemetry import CampaignTelemetry, FleetTelemetry
+from .telemetry import FleetTelemetry
 
 __all__ = [
     "CampaignRecord",
@@ -48,6 +48,5 @@ __all__ = [
     "FATAL_ERRORS",
     "HOST_ERRORS",
     "RESTARTABLE_ERRORS",
-    "CampaignTelemetry",
     "FleetTelemetry",
 ]

@@ -22,7 +22,6 @@ from typing import Optional
 
 from ..effects import pure
 from ..runtime.checkpoint import as_npz_path
-from ..runtime.retry import FailureBudget
 
 
 class CampaignStatus(enum.Enum):
@@ -113,9 +112,12 @@ class CampaignRecord:
     """One submitted campaign as the scheduler sees it.
 
     Holds the spec plus everything mutable: lifecycle status, the built
-    environment/agent pair, restart and quarantine bookkeeping, and the
-    scheduling bookkeeping (``submit_order`` breaks fair-share ties,
-    ``backoff_until`` defers a restarting campaign).
+    environment/agent pair, restart bookkeeping, and the scheduling
+    bookkeeping (``submit_order`` breaks fair-share ties,
+    ``backoff_until`` defers a restarting campaign).  A campaign's
+    cumulative counters are not kept here: they are its agent's
+    checkpointed history, or its journal ledger entry when a prior
+    process finished it.
     """
 
     def __init__(self, spec: CampaignSpec, directory: pathlib.Path,
@@ -134,12 +136,11 @@ class CampaignRecord:
         self.agent = None
         self.config = None
         #: Pool facade for the current pool generation (rebuilt on
-        #: degradation, dropped at the serial tier).
+        #: degradation).
         self.client = None
-        #: Per-campaign failure budget, spanning slices and restarts.
-        self.budget = FailureBudget(spec.failure_budget)
-        #: Quarantined samples already charged against :attr:`budget`.
-        self.charged_quarantines = 0
+        #: The :class:`~repro.serve.journal.LedgerEntry` a resume
+        #: replayed for this campaign (``None`` if submitted this run).
+        self.ledger = None
         #: Monotonic time before which a restarting campaign must wait.
         self.backoff_until = 0.0
         #: Whether the journal already has this campaign's ``running``

@@ -73,7 +73,9 @@ class DegradationController:
 
         ``None`` means the current tier stands.  After a downgrade the
         caller must rebuild the pool at :attr:`workers` workers (one at
-        the ``serial`` tier) before the next slice.
+        the ``serial`` tier) before the next slice.  ``pool.crashes`` is
+        the run's cumulative ``pool.crashes`` counter, which every pool
+        generation shares, so the watermark carries across rebuilds.
         """
         if self.serial:
             return None
@@ -95,7 +97,6 @@ class DegradationController:
             self.workers = 1
             self.tier = "serial"
         self.reason = reason
-        self._seen_crashes = 0
         return self.tier
 
     def __repr__(self) -> str:

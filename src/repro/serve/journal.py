@@ -105,7 +105,9 @@ class LedgerEntry:
     #: Best reward the campaign had journaled (``None`` = none yet, or
     #: an old-format journal without slice counters).
     best_reward: Optional[float] = None
-    #: Cumulative retry/quarantine counters at the last slice.
+    #: Cumulative retry/quarantine counters at the last slice.  With
+    #: ``steps_done`` and ``best_reward`` they are the summary row of a
+    #: campaign a later process does not rebuild (it already finished).
     retries: int = 0
     quarantined: int = 0
 

@@ -12,11 +12,10 @@ no duplicate ranker fits.
 :class:`CampaignQueryClient` is the per-campaign facade handed to each
 :class:`~repro.core.agent.PoisonRec` as its ``query_pool``: it tags the
 agent's untagged trajectory batches with the campaign name before
-dispatching them, and counts the campaign's dispatched queries for
-telemetry.  Because :func:`~repro.runtime.faults.query_digest` hashes
-the tag along with the trajectories, per-query fault schedules remain
-deterministic per campaign even when two campaigns submit identical
-trajectory content.
+dispatching them.  Because :func:`~repro.runtime.faults.query_digest`
+hashes the tag along with the trajectories, per-query fault schedules
+remain deterministic per campaign even when two campaigns submit
+identical trajectory content.
 """
 
 from __future__ import annotations
@@ -68,19 +67,14 @@ class CampaignQueryClient:
     def __init__(self, pool, name: str) -> None:
         self.pool = pool
         self.name = name
-        #: Queries this campaign has dispatched through the fleet
-        #: (telemetry; worker-side query counts never reach the parent).
-        self.queries = 0
 
     def attack_many(self, trajectory_sets: Sequence, retry=None, rng=None,
                     sleep=None) -> List[QueryOutcome]:
         """Dispatch one tagged batch; outcomes in submission order."""
         tagged = [(self.name, trajectories)
                   for trajectories in trajectory_sets]
-        self.queries += len(tagged)
         return self.pool.attack_many(tagged, retry=retry, rng=rng,
                                      sleep=sleep)
 
     def __repr__(self) -> str:
-        return (f"CampaignQueryClient({self.name!r}, "
-                f"queries={self.queries})")
+        return f"CampaignQueryClient({self.name!r})"

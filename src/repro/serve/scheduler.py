@@ -43,8 +43,8 @@ from typing import Callable, Dict, List, Optional
 
 from ..core import PoisonRec
 from ..perf.pool import QueryPool
+from ..recsys.system import unwrap_system
 from ..runtime.checkpoint import load_campaign, save_campaign
-from ..runtime.errors import FailureBudgetExhausted
 from ..runtime.faults import FaultPlan, FaultyEnvironment, WorkerFaultPlan
 from ..runtime.resilience import ResilienceConfig
 from ..runtime.retry import RetryPolicy
@@ -72,7 +72,12 @@ def default_builder(spec: CampaignSpec):
 
 @dataclass
 class FleetResult:
-    """Outcome of one :meth:`CampaignScheduler.run` call."""
+    """Outcome of one :meth:`CampaignScheduler.run` call.
+
+    ``pool_crashes`` and ``serial_fallbacks`` are read from the run's
+    metrics registry, so they total every pool generation the fleet
+    has used.
+    """
 
     records: Dict[str, CampaignRecord] = field(default_factory=dict)
     drained: bool = False
@@ -161,8 +166,6 @@ class CampaignScheduler:
         self.router = CampaignRouter()
         self.records: Dict[str, CampaignRecord] = {}
         self._pool: Optional[QueryPool] = None
-        self._pool_crashes = 0
-        self._pool_fallbacks = 0
 
     # ------------------------------------------------------------------
     # Submission and resume
@@ -193,18 +196,12 @@ class CampaignScheduler:
             record = self.submit(CampaignSpec.from_json(entry.spec),
                                  journal=False)
             record.restarts = entry.restarts
+            record.ledger = entry
             if entry.status == "completed":
                 record.status = CampaignStatus.COMPLETED
             elif entry.status == "failed":
                 record.status = CampaignStatus.FAILED
                 record.last_error = entry.error
-            # Hydrate telemetry with the prior process's journaled
-            # counters so the summary table shows real history instead
-            # of ``best=-`` and zeroes for resumed campaigns.
-            self.telemetry.hydrate(
-                name, steps=entry.steps_done, best=entry.best_reward,
-                retries=entry.retries, quarantined=entry.quarantined,
-                restarts=entry.restarts)
 
     # ------------------------------------------------------------------
     # Fleet construction
@@ -220,21 +217,11 @@ class CampaignScheduler:
         if record.total_steps is None:
             record.total_steps = default_steps
         self.router.register(spec.name, env)
-        self._attach_tracer(env)
+        # Hang the run's tracer on the recommender system behind ``env``.
+        system = unwrap_system(env)
+        if hasattr(system, "tracer"):
+            system.tracer = self.obs.tracer
         self._rebuild_agent(record)
-
-    def _attach_tracer(self, target) -> None:
-        """Hang the run's tracer on the recommender system behind ``target``."""
-        for _ in range(8):
-            if target is None:
-                return
-            if hasattr(target, "tracer"):
-                target.tracer = self.obs.tracer
-                return
-            inner = getattr(target, "_system", None)
-            if inner is None:
-                inner = getattr(target, "_env", None)
-            target = inner
 
     def _rebuild_agent(self, record: CampaignRecord) -> None:
         """Fresh agent, restored from the last checkpoint if one exists."""
@@ -268,8 +255,6 @@ class CampaignScheduler:
 
     def _retire_pool(self) -> None:
         if self._pool is not None:
-            self._pool_crashes += self._pool.crashes
-            self._pool_fallbacks += self._pool.serial_fallbacks
             self._pool.close()
             self._pool = None
 
@@ -303,11 +288,13 @@ class CampaignScheduler:
             if handle_signals:
                 self.drain.uninstall()
             self.journal.close()
-        return FleetResult(records=dict(self.records),
-                           drained=self.drain.requested,
-                           tier=self.degradation.tier,
-                           pool_crashes=self._pool_crashes,
-                           serial_fallbacks=self._pool_fallbacks)
+        metrics = self.obs.metrics
+        return FleetResult(
+            records=dict(self.records), drained=self.drain.requested,
+            tier=self.degradation.tier,
+            pool_crashes=int(metrics.counter("pool.crashes").value),
+            serial_fallbacks=int(
+                metrics.counter("pool.serial_fallbacks").value))
 
     def _next_runnable(self) -> Optional[CampaignRecord]:
         now = time.monotonic()
@@ -351,14 +338,14 @@ class CampaignScheduler:
             sleep=self.sleep)
 
     def _journal_slice(self, record: CampaignRecord) -> None:
-        """Append one slice event with the campaign's telemetry counters.
+        """Append one slice event with the campaign's summary counters.
 
         Beyond the step watermark the event carries the cumulative
         best/retries/quarantined counters (summed over the agent's full
-        restored history, so they span prior processes), from which
-        :meth:`resume` hydrates :class:`~repro.serve.telemetry
-        .FleetTelemetry` after a crash or drain.  ``best`` is
-        ``None``-encoded while still ``-inf`` (strict JSON).
+        restored history, so they span prior processes).  They are the
+        summary-table row of a campaign a later process never builds
+        because it already finished.  ``best`` is ``None``-encoded while
+        still ``-inf`` (strict JSON).
         """
         agent = record.agent
         best = agent.result.best_reward
@@ -404,11 +391,6 @@ class CampaignScheduler:
             self._handle_failure(record, error)
             return
         self._journal_slice(record)
-        try:
-            self.supervisor.charge_quarantines(record)
-        except FailureBudgetExhausted as error:
-            self._fail(record, error)
-            return
         if record.remaining == 0:
             self._complete(record)
         else:

@@ -9,10 +9,12 @@ When a slice fails, :class:`CampaignSupervisor` classifies the failure:
   :class:`~repro.runtime.errors.RetriesExhaustedError`): the campaign
   restarts from its last crash-safe checkpoint after an exponential
   backoff, up to ``spec.max_restarts`` times;
-* *fatal* — the campaign's own failure budget is exhausted, training
-  diverged beyond the rollback allowance, its checkpoint is corrupt, or
-  an unclassified exception surfaced: the campaign is quarantined to
-  ``FAILED``.
+* *fatal* — the campaign's own failure budget is exhausted (one
+  budget over the campaign's lifetime: the agent seeds it with the
+  quarantines in its checkpointed history, so it spans slices,
+  restarts and resumes), training diverged beyond the rollback
+  allowance, its checkpoint is corrupt, or an unclassified exception
+  surfaced: the campaign is quarantined to ``FAILED``.
 
 Either way the failure is *isolated*: sibling campaigns never see it,
 the shared worker fleet keeps serving them, and the scheduler only
@@ -76,7 +78,7 @@ HOST_ERRORS = (MemoryError, SystemError, RecursionError)
 
 
 class CampaignSupervisor:
-    """Classifies slice failures and enforces per-campaign budgets."""
+    """Classifies slice failures into restarts and quarantines."""
 
     def __init__(self, restart: Optional[RestartPolicy] = None) -> None:
         self.restart = restart if restart is not None else RestartPolicy()
@@ -99,25 +101,6 @@ class CampaignSupervisor:
         if isinstance(error, FatalEnvironmentError):
             return "fail"
         return "fail"
-
-    def charge_quarantines(self, record) -> None:
-        """Spend the campaign's failure budget for new quarantines.
-
-        The inner training loop quarantines samples per *slice*; the
-        supervisor charges them against the campaign-lifetime budget
-        (which spans slices and restarts, because it is derived from
-        the checkpointed ``StepStats`` history).  Raises
-        :class:`~repro.runtime.errors.FailureBudgetExhausted` when the
-        campaign has permanently lost more samples than its spec allows.
-        """
-        history = record.agent.result.history
-        total = sum(stats.quarantined for stats in history)
-        delta = total - record.charged_quarantines
-        if delta > 0:
-            record.charged_quarantines = total
-            record.budget.spend(
-                delta, reason=f"campaign {record.spec.name!r} quarantined "
-                              f"{total} sample(s) so far")
 
 
 class DrainRequested(Exception):

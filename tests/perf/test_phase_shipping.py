@@ -71,8 +71,9 @@ class TestWorkerShipping:
         with traced_pool(env, 2, tracer) as pool:
             outcomes = pool.attack_many(env_batch(env, 6))
             assert pool.parallel
-            assert pool.pooled_queries == 6
-            assert pool.pooled_seconds > 0.0
+            assert pool.metrics.counter("pool.queries",
+                                        tier="pooled").value == 6
+            assert pool.metrics.histogram("pool.query_seconds").total > 0.0
         for outcome in outcomes:
             assert outcome.pooled
             assert outcome.seconds > 0.0
@@ -157,7 +158,8 @@ class TestPooledCampaignTrace:
         agent = PoisonRec(env, PoisonRecConfig.ci(), action_space="plain",
                           query_pool=pool, obs=run)
         result = agent.train(steps=2)
-        pooled_seconds = pool.pooled_seconds if pool else 0.0
+        pooled_seconds = (pool.metrics.histogram("pool.query_seconds").total
+                          if pool else 0.0)
         fallbacks = pool.serial_fallbacks if pool else 0
         if pool is not None:
             pool.close()

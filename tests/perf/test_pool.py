@@ -213,6 +213,8 @@ def test_crash_looping_query_falls_back_to_serial():
     # Every query kills every worker, so each one must have completed
     # in-process in the parent.
     assert pool.serial_fallbacks == len(sets)
+    assert pool.metrics.counter("pool.queries",
+                                tier="serial").value == len(sets)
     assert [o.reward for o in outcomes] == [
         float(sum(sum(t) for t in s)) for s in sets]
 
@@ -330,6 +332,9 @@ def test_stalled_worker_detected_and_query_reissued(tmp_path):
                                     jitter=0.0),
             rng=np.random.default_rng(0), sleep=lambda _: None)
     assert pool.crashes >= 1
+    # A stall is a worker death in the registry too.
+    assert pool.metrics.counter("pool.crashes").value == pool.crashes
+    assert pool.metrics.counter("pool.stalls").value >= 1
     assert [o.reward for o in outcomes] == [
         float(sum(sum(t) for t in s)) for s in sets]
 

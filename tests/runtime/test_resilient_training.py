@@ -7,13 +7,31 @@ from repro.core import PoisonRec, PoisonRecConfig
 from repro.recsys import BlackBoxEnvironment
 from repro.runtime import (CampaignDivergenceError, FailureBudgetExhausted,
                            FaultPlan, FaultyEnvironment, ResilienceConfig,
-                           RetryPolicy, WatchdogConfig)
+                           RetryPolicy, TransientEnvironmentError,
+                           WatchdogConfig)
 
 def make_agent(env, seed=0):
     cfg = PoisonRecConfig.ci(num_attackers=6, trajectory_length=8,
                              samples_per_step=4, batch_size=4,
                              embedding_dim=8, seed=seed)
     return PoisonRec(env, cfg)
+
+
+class FailFirst:
+    """Environment wrapper whose first ``failures`` queries fail."""
+
+    def __init__(self, env, failures):
+        self._env = env
+        self.failures = failures
+
+    def __getattr__(self, name):
+        return getattr(self._env, name)
+
+    def attack(self, trajectories):
+        if self.failures > 0:
+            self.failures -= 1
+            raise TransientEnvironmentError("injected failure")
+        return self._env.attack(trajectories)
 
 
 def chaos_env(system, rate, seed=0):
@@ -69,6 +87,32 @@ class TestChaosCampaign:
                                       sleep=lambda seconds: None)
         with pytest.raises(FailureBudgetExhausted):
             agent.train(10, resilience=resilience)
+
+    def test_failure_budget_spans_resume(self, itempop_system, tmp_path):
+        """A resumed campaign whose history holds k quarantines raises
+        after ``failure_budget - k`` more, not ``failure_budget``."""
+        checkpoint = tmp_path / "campaign.npz"
+        itempop_system.reset()
+        env = FailFirst(BlackBoxEnvironment(itempop_system), failures=3)
+        first = make_agent(env)
+        first.train(1, resilience=ResilienceConfig(
+            retry=RetryPolicy(max_attempts=1), failure_budget=64,
+            checkpoint_path=checkpoint, watchdog=None,
+            sleep=lambda seconds: None))
+        assert sum(s.quarantined for s in first.result.history) == 3
+
+        def resume(failures):
+            itempop_system.reset()
+            env = FailFirst(BlackBoxEnvironment(itempop_system), failures)
+            resilience = ResilienceConfig(
+                retry=RetryPolicy(max_attempts=1), failure_budget=5,
+                watchdog=None, sleep=lambda seconds: None)
+            return make_agent(env).train(1, resume_from=checkpoint,
+                                         resilience=resilience)
+
+        resume(failures=2)  # 3 + 2 = 5: the budget is spent, not exceeded
+        with pytest.raises(FailureBudgetExhausted):
+            resume(failures=3)
 
     def test_step_stats_carry_retry_telemetry(self, itempop_system):
         env = chaos_env(itempop_system, 0.3, seed=1)

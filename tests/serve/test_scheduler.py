@@ -57,7 +57,6 @@ class TestRouter:
         client = CampaignQueryClient(pool, "probe")
         client.attack_many([[[1, 2]], [[3, 4]]])
         assert pool.batches == [[("probe", [[1, 2]]), ("probe", [[3, 4]])]]
-        assert client.queries == 2
 
 
 class TestScheduling:
@@ -383,12 +382,14 @@ class TestTelemetry:
                                    telemetry=telemetry)
         scheduler.submit(CampaignSpec(name="a", steps=3, seed=0))
         result = scheduler.run()
-        entry = telemetry.campaigns["a"]
-        assert entry.steps == 3
-        assert entry.best_reward == result.records["a"].agent.result \
-            .best_reward
+        metrics = telemetry.metrics
+        assert metrics.counter("fleet.steps", campaign="a").value == 3
+        best = result.records["a"].agent.result.best_reward
+        assert metrics.gauge("fleet.best_reward", campaign="a").value == best
         table = telemetry.render_table(result.records)
-        assert "completed" in table and "a" in table
+        row = next(line for line in table.splitlines()
+                   if line.startswith("a "))
+        assert row.split()[1:4] == ["completed", "3", f"{best:.0f}"]
 
     def test_profiler_rollup_covers_serial_queries(self, tmp_path,
                                                    tiny_builder):
@@ -432,7 +433,12 @@ class TestTelemetry:
             assert batch.name == "pool.batch"
             assert batch.attrs["tier"] == "serial"
             assert batch.start <= query.start <= query.end <= batch.end
-        assert result.records["a"].client.queries == len(queries) == 8
+        # One tally per query, wherever it ran: the pool's serial tier
+        # and the agent agree with the trace.
+        assert obs.metrics.counter("pool.queries",
+                                   tier="serial").value == len(queries) == 8
+        assert obs.metrics.counter("agent.queries",
+                                   campaign="a").value == 8
 
     @needs_fork
     def test_pooled_phase_spans_nest_under_pool_batch(self, tmp_path,

@@ -9,7 +9,8 @@ from repro.runtime.errors import (CampaignDivergenceError,
                                   FailureBudgetExhausted,
                                   RetriesExhaustedError,
                                   TransientEnvironmentError)
-from repro.serve import (CampaignRecord, CampaignSpec, CampaignSupervisor,
+from repro.serve import (CampaignRecord, CampaignScheduler, CampaignSpec,
+                         CampaignStatus, CampaignSupervisor,
                          DegradationController, DrainController,
                          RestartPolicy)
 
@@ -64,31 +65,47 @@ class TestClassification:
                                    error) == "fail"
 
 
+class FailEveryOther:
+    """Environment wrapper failing every second query transiently."""
+
+    def __init__(self, env):
+        self._env = env
+        self.calls = 0
+
+    def __getattr__(self, name):
+        return getattr(self._env, name)
+
+    def attack(self, trajectories):
+        self.calls += 1
+        if self.calls % 2 == 0:
+            raise TransientEnvironmentError("every other query fails")
+        return self._env.attack(trajectories)
+
+
 class TestQuarantineBudget:
-    class FakeStats:
-        def __init__(self, quarantined):
-            self.quarantined = quarantined
+    def test_budget_spans_slices(self, tmp_path, tiny_builder):
+        """One budget over the campaign's lifetime: the agent seeds each
+        slice's budget with the quarantines already in its history, so
+        two slices under the limit on their own still exhaust it."""
+        def builder(spec):
+            env, config, steps = tiny_builder(spec)
+            return FailEveryOther(env), config, steps
 
-    class FakeAgent:
-        def __init__(self, quarantines):
-            class Result:
-                history = [TestQuarantineBudget.FakeStats(q)
-                           for q in quarantines]
-            self.result = Result()
-
-    def test_budget_spans_slices(self, tmp_path):
-        record = CampaignRecord(
-            CampaignSpec(name="a", steps=4, failure_budget=3), tmp_path, 0)
-        supervisor = CampaignSupervisor()
-        record.agent = self.FakeAgent([1, 1])
-        supervisor.charge_quarantines(record)
-        assert record.charged_quarantines == 2
-        # The same history is not charged twice.
-        supervisor.charge_quarantines(record)
-        assert record.budget.consumed == 2
-        record.agent = self.FakeAgent([1, 1, 1, 1])
-        with pytest.raises(FailureBudgetExhausted):
-            supervisor.charge_quarantines(record)
+        scheduler = CampaignScheduler(tmp_path, builder=builder,
+                                      slice_steps=1,
+                                      sleep=lambda seconds: None)
+        # Four queries per step, every other one quarantined (no
+        # retries): two lost samples per slice against a budget of 3.
+        scheduler.submit(CampaignSpec(name="a", steps=4, max_retries=0,
+                                      failure_budget=3))
+        result = scheduler.run()
+        record = result.records["a"]
+        assert record.status is CampaignStatus.FAILED
+        assert "failure budget of 3" in record.last_error
+        # The second slice's second quarantine (the 4th overall) is the
+        # one over budget: it fails the campaign mid-slice.
+        assert record.steps_done == 1
+        assert [s.quarantined for s in record.agent.result.history] == [2]
 
 
 class TestDrainController:
@@ -124,6 +141,14 @@ class TestDegradation:
         controller = DegradationController(8, crash_storm=4)
         assert controller.assess(self.FakePool(crashes=3)) is None
         assert controller.assess(self.FakePool(crashes=7)) == "reduced"
+        assert controller.workers == 4
+
+    def test_crash_watermark_survives_a_downgrade(self):
+        controller = DegradationController(8, crash_storm=4)
+        assert controller.assess(self.FakePool(crashes=4)) == "reduced"
+        # The rebuilt pool reads the run's cumulative counter: the four
+        # deaths already assessed do not count again.
+        assert controller.assess(self.FakePool(crashes=5)) is None
         assert controller.workers == 4
 
     def test_broken_pool_downgrades(self):

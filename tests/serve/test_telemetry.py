@@ -1,12 +1,12 @@
-"""FleetTelemetry: phase totals, hydration, resumed-fleet rendering, obs."""
+"""FleetTelemetry: phase totals, summary rows, resumed-fleet rendering, obs."""
 
 from __future__ import annotations
 
 import io
 
 from repro.obs import RunTelemetry
-from repro.serve import (CampaignScheduler, CampaignSpec, CampaignStatus,
-                         FleetTelemetry)
+from repro.serve import (CampaignRecord, CampaignScheduler, CampaignSpec,
+                         CampaignStatus, FleetTelemetry, LedgerEntry)
 
 
 class FakeStats:
@@ -42,34 +42,83 @@ class TestPhaseTotals:
         assert telemetry.phase_totals() == {"merge": 0.5}
 
 
+class FakeAgent:
+    """The slice of :class:`~repro.core.agent.PoisonRec` a row reads."""
+
+    def __init__(self, history, best):
+        class Result:
+            pass
+        self.result = Result()
+        self.result.history = history
+        self.result.best_reward = best
+        self.step = len(history)
+
+
+def table_row(telemetry, records, name):
+    line = next(line for line in telemetry.render_table(records)
+                .splitlines() if line.startswith(name))
+    return line.split()
+
+
 class TestHydration:
-    def test_hydrate_seeds_counters_and_best(self):
-        telemetry = FleetTelemetry()
-        telemetry.hydrate("a", steps=5, best=42.0, retries=2,
-                          quarantined=1, restarts=3)
-        entry = telemetry.campaigns["a"]
-        assert (entry.steps, entry.best_reward, entry.retries,
-                entry.quarantined, entry.restarts) == (5, 42.0, 2, 1, 3)
-        table = telemetry.render_table()
-        assert "42" in table and "-" not in table.splitlines()[-1].split()
+    """A campaign's row reads its own history: the agent's when built,
+    the journal ledger's when a prior process finished it."""
 
-    def test_hydration_never_shrinks_live_counters(self):
-        telemetry = FleetTelemetry()
-        for step in range(4):
-            telemetry.observe("a", FakeStats(step, best=50.0, retries=1))
-        telemetry.hydrate("a", steps=2, best=10.0, retries=1)
-        entry = telemetry.campaigns["a"]
-        assert entry.steps == 4  # live observations win when larger
-        assert entry.best_reward == 50.0
-        assert entry.retries == 4
+    def test_hydrate_seeds_counters_and_best(self, tmp_path):
+        record = CampaignRecord(CampaignSpec(name="a", steps=5), tmp_path, 0)
+        record.status = CampaignStatus.COMPLETED
+        record.restarts = 3
+        record.ledger = LedgerEntry(spec={}, status="completed",
+                                    steps_done=5, restarts=3,
+                                    best_reward=42.0, retries=2,
+                                    quarantined=1)
+        cells = table_row(FleetTelemetry(), {"a": record}, "a")
+        assert cells[1:] == ["completed", "5", "42", "2", "1", "3"]
 
-    def test_observe_layers_on_top_of_hydration(self):
-        telemetry = FleetTelemetry()
-        telemetry.hydrate("a", steps=5, best=42.0)
-        telemetry.observe("a", FakeStats(5, best=30.0))
-        entry = telemetry.campaigns["a"]
-        assert entry.best_reward == 42.0  # journaled best still wins
-        assert entry.steps == 6
+    def test_hydration_never_shrinks_live_counters(self, tmp_path):
+        record = CampaignRecord(CampaignSpec(name="a", steps=8), tmp_path, 0)
+        record.ledger = LedgerEntry(spec={}, steps_done=2, best_reward=10.0,
+                                    retries=1)
+        record.agent = FakeAgent(
+            [FakeStats(step, best=50.0, retries=1) for step in range(4)],
+            best=50.0)
+        cells = table_row(FleetTelemetry(), {"a": record}, "a")
+        # The built agent's restored history wins over the stale ledger.
+        assert cells[2:6] == ["4", "50", "4", "0"]
+
+    def test_observe_layers_on_top_of_hydration(self, tmp_path,
+                                                tiny_builder):
+        """Steps a resumed fleet runs add to the prior process's totals:
+        the row is the whole checkpointed history, not this run's."""
+        fleet_dir = tmp_path / "fleet"
+        spec = CampaignSpec(name="a", steps=4, seed=0, chaos_rate=0.3)
+        first = make_scheduler(fleet_dir, tiny_builder, slice_steps=1)
+        first.submit(spec)
+        observe = first.telemetry.observe
+
+        def observe_then_drain(name, stats):
+            observe(name, stats)
+            first.drain.request("test")
+
+        first.telemetry.observe = observe_then_drain
+        assert first.run().drained
+        history = first.records["a"].agent.result.history
+        assert len(history) == 1
+
+        second = make_scheduler(fleet_dir, tiny_builder, slice_steps=1)
+        second.resume()
+        result = second.run()
+        assert result.all_completed
+        agent = result.records["a"].agent
+        assert agent.result.history[0] == history[0]
+        cells = table_row(second.telemetry, result.records, "a")
+        assert cells[2] == "4"
+        assert cells[3] == f"{agent.result.best_reward:.0f}"
+        assert int(cells[4]) == sum(s.retries for s in agent.result.history)
+        assert int(cells[4]) > 0
+        # This process streamed only its own three steps.
+        assert second.telemetry.metrics.counter(
+            "fleet.steps", campaign="a").value == 3
 
 
 class TestObsMirroring:
@@ -81,11 +130,14 @@ class TestObsMirroring:
         telemetry.note_restart("a")
         telemetry.event("tier change")
         assert obs.metrics.counter("fleet.steps", campaign="a").value == 1
-        assert obs.metrics.counter("fleet.retries", campaign="a").value == 2
         assert obs.metrics.counter("fleet.restarts", campaign="a").value == 1
         assert obs.metrics.gauge("fleet.best_reward",
                                  campaign="a").value == 7.0
         assert obs.events[0]["message"] == "tier change"
+        # Retries and quarantines are the agent's counters
+        # (``agent.retries``/``agent.quarantined``), not the fleet's.
+        names = {metric["name"] for metric in obs.metrics.snapshot()}
+        assert not names & {"fleet.retries", "fleet.quarantined"}
 
     def test_stream_still_narrates(self):
         stream = io.StringIO()

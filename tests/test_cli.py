@@ -225,7 +225,15 @@ class TestObservabilityCommands:
         assert any(event["ph"] == "X" for event in trace["traceEvents"])
 
         assert main(["metrics", log]) == 0
-        assert "agent.queries" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "agent.queries" in out
+        # The in-process pool (--workers 1) counts every query the agent
+        # observed, as ``pool.queries tier=serial``.
+        rows = {tuple(line.split()[:2]): line.split()[-1]
+                for line in out.splitlines() if len(line.split()) == 3}
+        agent_queries = rows[("agent.queries", "-")]
+        assert float(agent_queries) > 0
+        assert rows[("pool.queries", "tier=serial")] == agent_queries
 
 
 class TestImportCost:
